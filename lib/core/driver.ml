@@ -264,16 +264,20 @@ let read_def comp name =
   go 0
 
 let rec ensure_def comp name : Symtab.t option =
-  let scope, created = Modreg.intern comp.registry name in
+  (* the creator's hold, released when the interface's analysis
+     finishes, is taken before any other task can find the scope: taken
+     later, the rest of the compilation could finish and link the
+     program before the interface's frame is registered *)
+  let scope, created = Modreg.intern ~on_create:(fun () -> hold comp) comp.registry name in
   if created then begin
     match read_def comp name with
     | None ->
         mark_missing comp name;
         (* complete the empty scope so no searcher waits forever *)
         Symtab.mark_complete scope;
+        release comp;
         None
     | Some src ->
-        hold comp (* released when the interface's analysis finishes *);
         (match comp.cache with
         | None -> spawn_def_stream comp name scope src ~fp:None
         | Some cache -> (

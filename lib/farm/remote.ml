@@ -53,28 +53,25 @@ let fetch ~net ~requester ~primary ?replica ?(primary_extra = 0.0) ?(replica_ext
   let events = ref [] in
   let note at kind = events := (at, kind) :: !events in
   let drops = ref 0 in
-  (* Retry loop against the primary. *)
-  let rec attempt n at =
-    note at (Evlog.Rpc_fetch { node = requester; peer = primary; iface; attempt = n });
-    match
+  (* Retry loop against the primary: [(attempt, start, response)] for
+     every attempt the loop would make if nothing else answered. *)
+  let rec attempt n at acc =
+    let result =
       attempt_once net ~requester ~server:primary ~server_extra:primary_extra ~reachable ~iface
         ~bytes ~at
-    with
-    | Some done_at -> (n, Some done_at)
-    | None ->
-        incr drops;
-        let failed_at = at +. Netsim.timeout params ~bytes in
-        note failed_at (Evlog.Rpc_timeout { node = requester; peer = primary; iface; attempt = n });
-        if n >= Costs.rpc_retry_limit then (n, None)
-        else
-          let backoff =
-            Float.min
-              (Costs.rpc_backoff_seconds *. Float.pow 2.0 (float_of_int (n - 1)))
-              Costs.rpc_backoff_cap_seconds
-          in
-          attempt (n + 1) (failed_at +. backoff)
+    in
+    let acc = (n, at, result) :: acc in
+    if result <> None || n >= Costs.rpc_retry_limit then List.rev acc
+    else
+      let backoff =
+        Float.min
+          (Costs.rpc_backoff_seconds *. Float.pow 2.0 (float_of_int (n - 1)))
+          Costs.rpc_backoff_cap_seconds
+      in
+      attempt (n + 1) (at +. Netsim.timeout params ~bytes +. backoff) acc
   in
-  let attempts, primary_done = attempt 1 0.0 in
+  let planned = attempt 1 0.0 [] in
+  let primary_done = match List.rev planned with (_, _, r) :: _ -> r | [] -> None in
   (* Hedge: if the primary has not answered by the hedge delay and a
      replica is up, race a duplicate request against it. *)
   let hedge_at = Netsim.hedge_delay params ~bytes in
@@ -98,6 +95,24 @@ let fetch ~net ~requester ~primary ?replica ?(primary_extra = 0.0) ?(replica_ext
     | None, Some (r, Some h) -> Some (r, h)
     | None, _ -> None
   in
+  (* A winning hedge cancels the retry loop: no primary attempt starts
+     once the artifact is in hand. *)
+  let made =
+    match winner with
+    | Some (server, h) when server <> primary -> List.filter (fun (_, at, _) -> at < h) planned
+    | _ -> planned
+  in
+  List.iter
+    (fun (n, at, result) ->
+      note at (Evlog.Rpc_fetch { node = requester; peer = primary; iface; attempt = n });
+      if result = None then begin
+        incr drops;
+        note
+          (at +. Netsim.timeout params ~bytes)
+          (Evlog.Rpc_timeout { node = requester; peer = primary; iface; attempt = n })
+      end)
+    made;
+  let attempts = List.length made in
   let hedged = hedge <> None in
   match winner with
   | Some (server, done_at) ->

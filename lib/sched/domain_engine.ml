@@ -4,9 +4,11 @@
    here on [domains] worker domains sharing one address space, mirroring
    the paper's Topaz lightweight threads on the Firefly.  One worker is
    created per requested processor; workers pull tasks from the shared
-   Supervisor (under a single mutex — task granularity is large enough
-   that the lock is not a bottleneck at the paper's scale of tens of
-   processors).
+   Supervisor under a single mutex.  An idle worker sleeps on one
+   condition variable and is woken only for work: one signal per entry
+   that became ready (spawn, resume, gate release).  A worker whose task
+   finishes or blocks picks its next entry itself, so those events wake
+   nobody; only quiescence and stop broadcast.
 
    A blocked task's continuation is parked on the awaited event and the
    worker takes other work — this is what the paper's Supervisors scheme
@@ -39,8 +41,16 @@ type state = {
   mutable failures : (string * exn) list;
 }
 
+(* Wake one sleeping worker, if any, for each entry made ready since the
+   Supervisor held [before] entries (with [st.mu] held). *)
+let wake_for_new st ~before =
+  for _ = 1 to Supervisor.n_ready st.sup - before do
+    Condition.signal st.cond
+  done
+
 let signal_locked st (ev : Event.t) =
   if not (Event.occurred ev) then begin
+    let before = Supervisor.n_ready st.sup in
     Event.mark ev;
     Supervisor.on_event st.sup ev;
     (match Hashtbl.find_opt st.waiting ev.Event.id with
@@ -52,7 +62,7 @@ let signal_locked st (ev : Event.t) =
             st.n_waiting <- st.n_waiting - 1;
             Supervisor.resume st.sup task k)
           waiters);
-    Condition.broadcast st.cond
+    wake_for_new st ~before
   end
 
 (* Run one task entry to its next suspension point.  Returns when the
@@ -66,7 +76,6 @@ let exec st entry =
         task.Task.state <- Task.Done;
         st.active <- st.active - 1;
         st.n_finished <- st.n_finished + 1;
-        Condition.broadcast st.cond;
         Mutex.unlock st.mu
     | Eff.Failed (e, _bt) ->
         Mutex.lock st.mu;
@@ -74,7 +83,6 @@ let exec st entry =
         st.active <- st.active - 1;
         st.n_finished <- st.n_finished + 1;
         st.failures <- (task.Task.name, e) :: st.failures;
-        Condition.broadcast st.cond;
         Mutex.unlock st.mu
     | Eff.Blocked (ev, k) ->
         Mutex.lock st.mu;
@@ -89,7 +97,6 @@ let exec st entry =
           st.n_waiting <- st.n_waiting + 1;
           Supervisor.prefer st.sup ev.Event.producer;
           st.active <- st.active - 1;
-          Condition.broadcast st.cond;
           Mutex.unlock st.mu
         end
     | Eff.Signaled (ev, k) ->
@@ -99,8 +106,9 @@ let exec st entry =
         handle task (Eff.resume k)
     | Eff.Spawned (task', k) ->
         Mutex.lock st.mu;
+        let before = Supervisor.n_ready st.sup in
         Supervisor.submit st.sup task';
-        Condition.broadcast st.cond;
+        wake_for_new st ~before;
         Mutex.unlock st.mu;
         handle task (Eff.resume k)
   in

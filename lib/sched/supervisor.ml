@@ -24,9 +24,21 @@ type entry = Fresh of Task.t | Resumed of Task.t * Eff.resumption
 
 let entry_task = function Fresh t -> t | Resumed (t, _) -> t
 
+(* A queued entry.  [prefer] and perturbed picks retire a slot in place
+   ([live <- false]); [pick] discards dead slots that reach the top. *)
+type slot = { entry : entry; seq : int; cls : int; mutable live : bool }
+
 type t = {
-  classes : entry Deque.t array;
+  classes : slot Heap.t array;
+      (* one heap per class, keyed (-size_hint in the code-generation
+         classes and 0 elsewhere, seq): back-pushes take seq 0, 1, 2, ...
+         and front-pushes -1, -2, ..., so heap order is exactly the order
+         of a double-ended queue with longest-first selection on top *)
+  n_live : int array; (* live slots per class *)
+  index : (int, slot) Hashtbl.t; (* task id -> its live slot, for [prefer] *)
   gated : (int, Task.t list) Hashtbl.t; (* event id -> parked tasks *)
+  mutable back : int; (* next back-push seq *)
+  mutable front : int; (* last front-push seq *)
   mutable n_ready : int;
   mutable n_gated : int;
   mutable submitted : int;
@@ -43,10 +55,17 @@ type t = {
 }
 
 let create ?(fifo = false) ?perturb () =
-  let dummy = Fresh (Task.create ~cls:Task.Aux ~name:"dummy" (fun () -> ())) in
+  (* the dummy takes one task id per Supervisor; the task ids recorded
+     in critical-path artifacts count on it *)
+  let dummy_task = Task.create ~cls:Task.Aux ~name:"dummy" (fun () -> ()) in
+  let dummy = { entry = Fresh dummy_task; seq = 0; cls = 0; live = false } in
   {
-    classes = Array.init Task.n_classes (fun _ -> Deque.create dummy);
+    classes = Array.init Task.n_classes (fun _ -> Heap.create dummy);
+    n_live = Array.make Task.n_classes 0;
+    index = Hashtbl.create 64;
     gated = Hashtbl.create 64;
+    back = 0;
+    front = 0;
     n_ready = 0;
     n_gated = 0;
     submitted = 0;
@@ -58,17 +77,39 @@ let n_ready t = t.n_ready
 let n_gated t = t.n_gated
 let total_submitted t = t.submitted
 
-let enqueue_ready t entry =
+(* Queue [entry] at the front or the back of its class. *)
+let push t ~front entry =
   let task = entry_task entry in
-  let q =
-    if t.fifo then t.classes.(0) else t.classes.(Task.cls_priority task.Task.cls)
+  let cls = if t.fifo then 0 else Task.cls_priority task.Task.cls in
+  let seq =
+    if front then begin
+      t.front <- t.front - 1;
+      t.front
+    end
+    else begin
+      t.back <- t.back + 1;
+      t.back - 1
+    end
   in
-  (match entry with
-  | Resumed _ ->
-      (* a resumed task was already in flight: let it finish ahead of
-         fresh work of the same class *)
-      Deque.push_front q entry
-  | Fresh _ -> Deque.push_back q entry);
+  let by_size =
+    (not t.fifo)
+    && (cls = Task.cls_priority Task.LongGen || cls = Task.cls_priority Task.ShortGen)
+  in
+  let key = if by_size then -.float_of_int task.Task.size_hint else 0.0 in
+  let slot = { entry; seq; cls; live = true } in
+  Heap.push ~seq t.classes.(cls) key slot;
+  Hashtbl.replace t.index task.Task.id slot;
+  t.n_live.(cls) <- t.n_live.(cls) + 1
+
+let retire t slot =
+  slot.live <- false;
+  t.n_live.(slot.cls) <- t.n_live.(slot.cls) - 1;
+  Hashtbl.remove t.index (entry_task slot.entry).Task.id
+
+(* a resumed task was already in flight: let it finish ahead of fresh
+   work of the same class *)
+let enqueue_ready t entry =
+  push t ~front:(match entry with Resumed _ -> true | Fresh _ -> false) entry;
   t.n_ready <- t.n_ready + 1
 
 (* Submit a fresh task.  If it is gated on an unoccurred avoided event it
@@ -108,70 +149,41 @@ let on_event t (ev : Event.t) =
 (* Move the pending task [task_id] to the front of its class queue: a
    blocked task is waiting for it (paper §2.3.4). *)
 let prefer t task_id =
-  if task_id >= 0 then
-    Array.iter
-      (fun q ->
-        match Deque.remove_first q (fun e -> (entry_task e).Task.id = task_id) with
-        | Some e ->
-            if Metrics.enabled () then Metrics.incr "mcc_sup_prefer_promote_total";
-            Deque.push_front q e
-        | None -> ())
-      t.classes
+  match Hashtbl.find_opt t.index task_id with
+  | None -> ()
+  | Some slot ->
+      if Metrics.enabled () then Metrics.incr "mcc_sup_prefer_promote_total";
+      retire t slot;
+      push t ~front:true slot.entry
 
-(* Select the next entry to run: scan classes in priority order; within
-   the code-generation classes take the entry with the largest size hint
-   (longest procedure first). *)
+let rec pop_live h =
+  match Heap.pop h with
+  | Some (_, slot) when slot.live -> slot
+  | Some _ -> pop_live h
+  | None -> invalid_arg "Supervisor.pick: class count out of step with its heap"
+
+(* The [idx]-th live slot in queue (seq) order. *)
+let nth_live h idx =
+  let live = ref [] in
+  Heap.iter (fun slot -> if slot.live then live := slot :: !live) h;
+  List.nth (List.sort (fun a b -> compare a.seq b.seq) !live) idx
+
+(* Select the next entry to run from the highest-priority non-empty
+   class: its heap minimum, i.e. the largest size hint first in the
+   code-generation classes and queue order elsewhere. *)
 let pick t =
   let rec scan i =
     if i >= Task.n_classes then None
+    else if t.n_live.(i) = 0 then scan (i + 1)
     else begin
-      let q = t.classes.(i) in
-      if Deque.is_empty q then scan (i + 1)
-      else begin
-        let by_size =
-          (not t.fifo)
-          && (i = Task.cls_priority Task.LongGen || i = Task.cls_priority Task.ShortGen)
-        in
-        let entry =
-          match t.perturb with
-          | Some rng when Deque.length q > 1 ->
-              let idx = Prng.int rng (Deque.length q) in
-              let j = ref 0 in
-              let chosen = ref None in
-              Deque.iter
-                (fun e ->
-                  if !j = idx then chosen := Some e;
-                  incr j)
-                q;
-              (match !chosen with
-              | Some e ->
-                  ignore (Deque.remove_first q (fun e' -> e' == e));
-                  Some e
-              | None -> Deque.pop_front q)
-          | _ ->
-          if by_size then begin
-            let best = ref None in
-            Deque.iter
-              (fun e ->
-                let sz = (entry_task e).Task.size_hint in
-                match !best with
-                | Some (bsz, _) when bsz >= sz -> ()
-                | _ -> best := Some (sz, e))
-              q;
-            match !best with
-            | Some (_, e) ->
-                ignore (Deque.remove_first q (fun e' -> e' == e));
-                Some e
-            | None -> None
-          end
-          else Deque.pop_front q
-        in
-        match entry with
-        | Some e ->
-            t.n_ready <- t.n_ready - 1;
-            Some e
-        | None -> scan (i + 1)
-      end
+      let slot =
+        match t.perturb with
+        | Some rng when t.n_live.(i) > 1 -> nth_live t.classes.(i) (Prng.int rng t.n_live.(i))
+        | _ -> pop_live t.classes.(i)
+      in
+      retire t slot;
+      t.n_ready <- t.n_ready - 1;
+      Some slot.entry
     end
   in
   scan 0

@@ -1,10 +1,12 @@
 (** The Supervisor — task queuing and selection (paper §2.3.2, §2.3.4).
 
-    Ready tasks live in per-priority-class queues; within the two
+    Ready tasks live in one heap per priority class; within the two
     code-generation classes the largest task is selected first ("long
     procedures before short").  Tasks gated on an avoided event are
     parked until it occurs.  [prefer] moves a blocked task's resolver to
-    the front of its class.
+    the front of its class.  [submit], [resume], [prefer] and [pick]
+    cost O(log n) in the class's queue length (a perturbed [pick] is
+    O(n log n)).
 
     Engine-neutral and externally synchronized: the DES calls it from one
     thread; the domain engine serializes access with a mutex. *)

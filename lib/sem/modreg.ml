@@ -13,13 +13,14 @@ let create () = { mu = Mutex.create (); tbl = Hashtbl.create 16 }
 
 (* Returns the scope and whether this call created it (creator must spawn
    the processing stream). *)
-let intern t name =
+let intern ?(on_create = ignore) t name =
   Mutex.lock t.mu;
   let r =
     match Hashtbl.find_opt t.tbl name with
     | Some scope -> (scope, false)
     | None ->
         let scope = Symtab.create (Symtab.KDef name) in
+        on_create ();
         Hashtbl.replace t.tbl name scope;
         (scope, true)
   in

@@ -8,8 +8,10 @@ val create : unit -> t
 
 (** [intern t name] returns the interface's scope and whether this call
     created it; the creator is responsible for spawning (or, in the
-    sequential compiler, immediately running) its processing. *)
-val intern : t -> string -> Symtab.t * bool
+    sequential compiler, immediately running) its processing.
+    [on_create] runs under the registry lock when this call creates the
+    scope, before any other caller can find it. *)
+val intern : ?on_create:(unit -> unit) -> t -> string -> Symtab.t * bool
 
 val find : t -> string -> Symtab.t option
 val count : t -> int

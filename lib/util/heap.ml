@@ -1,8 +1,10 @@
 (* Binary min-heap with deterministic tie-breaking.
 
-   The discrete-event simulation engine keys its agenda on (virtual time,
-   insertion sequence number) so that simultaneous events pop in insertion
-   order — a requirement for bit-for-bit deterministic traces. *)
+   Entries are ordered by (key, seq).  By default [seq] is an insertion
+   counter, so the discrete-event simulation's agenda pops simultaneous
+   events in insertion order — a requirement for bit-for-bit
+   deterministic traces.  The Supervisor supplies its own [seq] to mix
+   back-pushes (counting up) with front-pushes (counting down from -1). *)
 
 type 'a entry = { key : float; seq : int; value : 'a }
 
@@ -44,14 +46,20 @@ let rec sift_down t i =
     sift_down t !smallest
   end
 
-let push t key value =
+let push ?seq t key value =
+  let seq =
+    match seq with
+    | Some s -> s
+    | None ->
+        t.next_seq <- t.next_seq + 1;
+        t.next_seq - 1
+  in
   if t.len = Array.length t.data then begin
     let data = Array.make (2 * t.len) t.data.(0) in
     Array.blit t.data 0 data 0 t.len;
     t.data <- data
   end;
-  t.data.(t.len) <- { key; seq = t.next_seq; value };
-  t.next_seq <- t.next_seq + 1;
+  t.data.(t.len) <- { key; seq; value };
   t.len <- t.len + 1;
   sift_up t (t.len - 1)
 
@@ -67,3 +75,8 @@ let pop t =
     if t.len > 0 then sift_down t 0;
     Some (top.key, top.value)
   end
+
+let iter f t =
+  for i = 0 to t.len - 1 do
+    f t.data.(i).value
+  done

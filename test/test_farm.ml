@@ -212,10 +212,17 @@ let test_gray_node_trips_hedge () =
   Alcotest.(check bool) "hedged fetches fired" true (r.Farm.f_hedges >= 1);
   check_verify r
 
+(* At 90% loss the first attempt and the hedge are both lost and a
+   primary retry serves the artifact.  At 60% the hedge answers first,
+   which cancels the primary's retry loop: no retry is counted. *)
 let test_msg_drops_retry () =
-  let r = run ~faults:"msg-drop%60" () in
+  let r = run ~faults:"msg-drop%90" () in
   Alcotest.(check bool) "attempts were lost" true (r.Farm.f_rpc_drops > 0);
   Alcotest.(check bool) "retries recovered" true (r.Farm.f_rpc_retries > 0);
+  check_verify r;
+  let r = run ~faults:"msg-drop%60" () in
+  Alcotest.(check bool) "hedge won" true (r.Farm.f_hedge_wins > 0);
+  Alcotest.(check int) "no retry after the hedge answered" 0 r.Farm.f_rpc_retries;
   check_verify r
 
 let proj (r : Farm.report) =

@@ -205,6 +205,33 @@ let test_recovery_across_procs () =
       Alcotest.(check bool) (tag ^ " fired") true (r.Driver.robustness.Driver.r_injected >= 1))
     [ 1; 2; 8 ]
 
+(* Regression: the task that creates an interface's scope used to take
+   the compilation's pending hold only after reading the source.  A
+   transient source error's backoff yields inside that window, so the
+   rest of the compile could finish, fire all-done and link the program
+   before the interface's global frame was registered (the domain
+   engine hit the same window by plain timing).  Here X's importer
+   creates Y and backs off while X's parser and the module body finish. *)
+let test_source_retry_keeps_interface_frame () =
+  let st =
+    Source_store.make ~main_name:"M" ~main_src:"MODULE M;\nIMPORT X;\nBEGIN\nEND M.\n"
+      ~defs:
+        [
+          ("X", "DEFINITION MODULE X;\nIMPORT Y;\nEND X.\n");
+          ("Y", "DEFINITION MODULE Y;\nVAR v: INTEGER;\nEND Y.\n");
+        ]
+      ()
+  in
+  let seq = Mcc_codegen.Cunit.disassemble (Seq_driver.compile st).Seq_driver.program in
+  List.iter
+    (fun procs ->
+      let r = compile ~procs [ "source-error:Y@1" ] st in
+      let tag = Printf.sprintf "procs=%d" procs in
+      Alcotest.(check bool) (tag ^ " fired") true (r.Driver.robustness.Driver.r_injected >= 1);
+      Alcotest.(check string) (tag ^ " program = seq") seq
+        (Mcc_codegen.Cunit.disassemble r.Driver.program))
+    [ 1; 2; 8 ]
+
 let test_fault_free_run_reports_nothing () =
   let st = Suite.program 1 in
   let r = Driver.compile ~config:Driver.default_config st in
@@ -228,6 +255,8 @@ let () =
           Alcotest.test_case "dropped wakes re-delivered" `Quick test_dropped_wake_watchdog;
           Alcotest.test_case "stall/poison/source contained" `Quick
             test_stall_and_poison_contained;
+          Alcotest.test_case "source retry keeps interface frame" `Quick
+            test_source_retry_keeps_interface_frame;
         ] );
       ( "graceful degradation",
         [

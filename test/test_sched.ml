@@ -375,6 +375,217 @@ let test_perturb_reproducible () =
   Alcotest.(check bool) "perturbed run completes" true (completed r);
   Alcotest.(check int) "all tasks ran" 4 r.Des_engine.tasks_run
 
+(* --- Supervisor against a reference model --- *)
+
+(* A reference model of the Supervisor's ready queues on plain lists:
+   one list per class in double-ended-queue order, a longest-first scan
+   in the code-generation classes, a linear [prefer] over every class,
+   and the idx-th entry of the class under perturbation.  The heap-based
+   Supervisor must pick exactly the same sequence. *)
+module Model = struct
+  open Mcc_util
+
+  type t = {
+    q : Supervisor.entry list array;
+    mutable gated : (int * Task.t) list; (* (event id, task), newest first *)
+    fifo : bool;
+    rng : Prng.t option;
+  }
+
+  let create ~fifo ~rng = { q = Array.make Task.n_classes []; gated = []; fifo; rng }
+  let cls t (task : Task.t) = if t.fifo then 0 else Task.cls_priority task.Task.cls
+  let task = Supervisor.entry_task
+
+  let push t ~front e =
+    let c = cls t (task e) in
+    t.q.(c) <- (if front then e :: t.q.(c) else t.q.(c) @ [ e ])
+
+  let submit t (tk : Task.t) =
+    match tk.Task.gate with
+    | Some ev when not (Event.occurred ev) -> t.gated <- (ev.Event.id, tk) :: t.gated
+    | _ -> push t ~front:false (Supervisor.Fresh tk)
+
+  let resume t tk k = push t ~front:true (Supervisor.Resumed (tk, k))
+
+  let on_event t (ev : Event.t) =
+    let released, kept = List.partition (fun (id, _) -> id = ev.Event.id) t.gated in
+    t.gated <- kept;
+    List.iter (fun (_, tk) -> push t ~front:false (Supervisor.Fresh tk)) (List.rev released)
+
+  let remove_nth l i = (List.nth l i, List.filteri (fun j _ -> j <> i) l)
+
+  let prefer t id =
+    Array.iteri
+      (fun c q ->
+        match List.find_index (fun e -> (task e).Task.id = id) q with
+        | Some i ->
+            let e, rest = remove_nth q i in
+            t.q.(c) <- e :: rest
+        | None -> ())
+      t.q
+
+  let pick t =
+    let rec scan c =
+      if c >= Task.n_classes then None
+      else
+        match t.q.(c) with
+        | [] -> scan (c + 1)
+        | q ->
+            let n = List.length q in
+            let by_size =
+              (not t.fifo)
+              && (c = Task.cls_priority Task.LongGen || c = Task.cls_priority Task.ShortGen)
+            in
+            let i =
+              match t.rng with
+              | Some rng when n > 1 -> Prng.int rng n
+              | _ when by_size ->
+                  let best = List.fold_left (fun b e -> max b (task e).Task.size_hint) min_int q in
+                  Option.get (List.find_index (fun e -> (task e).Task.size_hint = best) q)
+              | _ -> 0
+            in
+            let e, rest = remove_nth q i in
+            t.q.(c) <- rest;
+            Some e
+    in
+    scan 0
+
+  let n_ready t = Array.fold_left (fun n q -> n + List.length q) 0 t.q
+  let n_gated t = List.length t.gated
+end
+
+(* A real continuation to carry in [Resumed] entries; never resumed. *)
+let dummy_k =
+  match Eff.start (fun () -> Effect.perform (Eff.Work 1)) with
+  | Eff.Worked (_, k) -> k
+  | _ -> assert false
+
+type sup_op =
+  | Submit of Task.cls * int * int option (* class, size hint, gate index *)
+  | Pick
+  | Resume of int (* index into the picked-and-not-resumed tasks *)
+  | Prefer of int (* index into every task created so far; -1 = unknown id *)
+  | Occur of int (* gate index *)
+
+let gen_classes = [| Task.Lexor; Task.Importer; Task.ProcParse; Task.LongGen; Task.ShortGen; Task.Merge |]
+
+let show_op = function
+  | Submit (c, sz, g) ->
+      Printf.sprintf "Submit(%s,%d,%s)" (Task.cls_name c) sz
+        (match g with Some g -> string_of_int g | None -> "-")
+  | Pick -> "Pick"
+  | Resume i -> Printf.sprintf "Resume %d" i
+  | Prefer i -> Printf.sprintf "Prefer %d" i
+  | Occur g -> Printf.sprintf "Occur %d" g
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 4,
+          map3
+            (fun c sz g -> Submit (gen_classes.(c), 10 * sz, if g < 3 then Some g else None))
+            (int_bound (Array.length gen_classes - 1))
+            (int_bound 3) (int_bound 8) );
+        (4, return Pick);
+        (2, map (fun i -> Resume i) small_nat);
+        (2, map (fun i -> Prefer (i - 1)) small_nat);
+        (1, map (fun g -> Occur g) (int_bound 2));
+      ])
+
+(* Mode 0 is the default Supervisor, 1 the FIFO ablation, 2 perturbed
+   with [seed].  Returns both pick sequences as (task name, resumed). *)
+let run_sup_model mode seed ops =
+  let fifo = mode = 1 in
+  let perturb () = if mode = 2 then Some (Mcc_util.Prng.create seed) else None in
+  let sup = Supervisor.create ~fifo ?perturb:(perturb ()) () in
+  let model = Model.create ~fifo ~rng:(perturb ()) in
+  let gates = Array.init 3 (fun i -> Event.create ~kind:Event.Avoided (Printf.sprintf "g%d" i)) in
+  let created = ref [||] and running = ref [] in
+  let got = ref [] and want = ref [] in
+  let show e = ((Supervisor.entry_task e).Task.name, match e with Supervisor.Resumed _ -> true | _ -> false) in
+  let pick () =
+    let a = Supervisor.pick sup and b = Model.pick model in
+    got := Option.map show a :: !got;
+    want := Option.map show b :: !want;
+    Option.iter (fun e -> running := !running @ [ Supervisor.entry_task e ]) a;
+    a <> None
+  in
+  let step = function
+    | Submit (cls, size_hint, g) ->
+        let gate = Option.map (fun g -> gates.(g)) g in
+        let tk = mk ?gate ~cls ~size_hint (Printf.sprintf "t%d" (Array.length !created)) ignore in
+        created := Array.append !created [| tk |];
+        Supervisor.submit sup tk;
+        Model.submit model tk
+    | Pick -> ignore (pick ())
+    | Resume i when !running <> [] ->
+        let tk = List.nth !running (i mod List.length !running) in
+        running := List.filter (fun t -> t != tk) !running;
+        Supervisor.resume sup tk dummy_k;
+        Model.resume model tk dummy_k
+    | Resume _ -> ()
+    | Prefer i ->
+        let id =
+          if i < 0 || Array.length !created = 0 then -1
+          else !created.(i mod Array.length !created).Task.id
+        in
+        Supervisor.prefer sup id;
+        Model.prefer model id
+    | Occur g ->
+        let ev = gates.(g) in
+        if not (Event.occurred ev) then begin
+          Event.mark ev;
+          Supervisor.on_event sup ev;
+          Model.on_event model ev
+        end
+  in
+  List.iter
+    (fun op ->
+      step op;
+      if Supervisor.n_ready sup <> Model.n_ready model || Supervisor.n_gated sup <> Model.n_gated model
+      then got := Some ("count mismatch after " ^ show_op op, false) :: !got)
+    ops;
+  while pick () do
+    ()
+  done;
+  (List.rev !got, List.rev !want)
+
+let prop_supervisor_model =
+  QCheck.Test.make ~name:"supervisor picks = deque model (default/fifo/perturb)" ~count:300
+    (QCheck.make
+       ~print:(fun (m, s, ops) ->
+         Printf.sprintf "mode=%d seed=%d [%s]" m s (String.concat "; " (List.map show_op ops)))
+       QCheck.Gen.(triple (int_bound 2) (int_bound 1000) (list_size (int_bound 60) gen_op)))
+    (fun (mode, seed, ops) ->
+      let got, want = run_sup_model mode seed ops in
+      got = want)
+
+(* Equal sizes in a code-generation class: resumed entries go ahead of
+   fresh ones, a preferred entry ahead of both, and a larger size hint
+   still wins over queue position. *)
+let test_supervisor_gen_tiebreaks () =
+  let ops =
+    [
+      Submit (Task.LongGen, 10, None);
+      Submit (Task.LongGen, 10, None);
+      Submit (Task.LongGen, 10, None);
+      Pick;
+      Submit (Task.LongGen, 10, None);
+      Resume 0;
+      Prefer 3;
+      Submit (Task.LongGen, 20, None);
+    ]
+  in
+  List.iter
+    (fun mode ->
+      let got, want = run_sup_model mode 5 ops in
+      Alcotest.(check (list (option (pair string bool)))) (Printf.sprintf "mode %d" mode) want got)
+    [ 0; 1; 2 ];
+  let got, _ = run_sup_model 0 0 ops in
+  let names = List.map (fun o -> fst (Option.get o)) (List.filter Option.is_some got) in
+  Alcotest.(check (list string)) "default order" [ "t0"; "t4"; "t3"; "t0"; "t1"; "t2" ] names
+
 (* --- fault injection and self-healing (engine level) --- *)
 
 let with_specs ?(seed = 0) specs f =
@@ -560,6 +771,8 @@ let () =
           Alcotest.test_case "gated release order" `Quick test_supervisor_gated_release_order;
           Alcotest.test_case "gated order through DES" `Quick test_gated_release_order_through_des;
           Alcotest.test_case "perturb reproducible" `Quick test_perturb_reproducible;
+          Alcotest.test_case "gen-class tie-breaks" `Quick test_supervisor_gen_tiebreaks;
+          QCheck_alcotest.to_alcotest prop_supervisor_model;
         ] );
       ( "faults",
         [

@@ -257,27 +257,35 @@ let farm_fault_menu =
     "node-crash:node1@1,node-slow:node0!";
   |]
 
+let farm_forest_check seed =
+  let plan = farm_fault_menu.(seed mod Array.length farm_fault_menu) in
+  let cfg =
+    {
+      Farm.default_config with
+      Farm.nodes = 2 + (seed mod 3);
+      faults = Fault.parse_list plan;
+      fault_seed = seed;
+      seed = seed / 7;
+    }
+  in
+  let r = farm_traced ~cfg () in
+  Result.map_error (Printf.sprintf "seed %d (%s): %s" seed plan) (Dtrace.validate (forest_of_farm r))
+
 let prop_farm_forest_valid =
   QCheck.Test.make ~name:"farm: span forest valid under random fault plans" ~count:6
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let cfg =
-        {
-          Farm.default_config with
-          Farm.nodes = 2 + (seed mod 3);
-          faults = Fault.parse_list farm_fault_menu.(seed mod Array.length farm_fault_menu);
-          fault_seed = seed;
-          seed = seed / 7;
-        }
-      in
-      let r = farm_traced ~cfg () in
-      let t = forest_of_farm r in
-      match Dtrace.validate t with
+      match farm_forest_check seed with
       | Ok () -> true
-      | Error e ->
-          QCheck.Test.fail_reportf "seed %d (%s): %s" seed
-            farm_fault_menu.(seed mod Array.length farm_fault_menu)
-            e)
+      | Error e -> QCheck.Test.fail_reportf "%s" e)
+
+(* Pinned counterexample (plan msg-drop%40): the hedge won a fetch, yet
+   the primary's retry loop went on and opened rpc#2 after the fetch had
+   ended.  A winning hedge now cancels the remaining primary attempts. *)
+let test_farm_hedge_cancels_retries () =
+  match farm_forest_check 821306 with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
 
 (* --- chrome nested export ------------------------------------------ *)
 
@@ -310,6 +318,7 @@ let () =
           Alcotest.test_case "critpath sums" `Quick test_farm_critpath_sums;
           Alcotest.test_case "tracing is free" `Quick test_farm_trace_is_free;
           Alcotest.test_case "crash spans" `Quick test_farm_crash_spans;
+          Alcotest.test_case "hedge cancels retries" `Quick test_farm_hedge_cancels_retries;
         ] );
       ( "properties",
         [ Tutil.qtest prop_serve_forest_valid; Tutil.qtest prop_farm_forest_valid ] );

@@ -90,79 +90,43 @@ let prop_heap_sorts =
       let popped = drain [] in
       List.sort compare keys = popped)
 
-let test_deque () =
-  let d = Deque.create 0 in
-  Deque.push_back d 1;
-  Deque.push_back d 2;
-  Deque.push_front d 0;
-  Alcotest.(check (list int)) "order" [ 0; 1; 2 ] (Deque.to_list d);
-  Alcotest.(check (option int)) "pop" (Some 0) (Deque.pop_front d);
-  Alcotest.(check int) "length" 2 (Deque.length d);
-  Alcotest.(check (option int)) "remove_first" (Some 2) (Deque.remove_first d (fun x -> x = 2));
-  Alcotest.(check (list int)) "after remove" [ 1 ] (Deque.to_list d)
+(* Caller-supplied tie-breaks: equal keys pop in ascending [seq], so
+   negative seqs (the Supervisor's front-pushes) come before positive
+   ones (its back-pushes); a smaller key still wins over any seq. *)
+let test_heap_seq_tiebreak () =
+  let h = Heap.create "" in
+  List.iter
+    (fun (seq, k, v) -> Heap.push ~seq h k v)
+    [ (0, 0.0, "b0"); (1, 0.0, "b1"); (-1, 0.0, "f1"); (2, -1.0, "big"); (-2, 0.0, "f2") ];
+  let rec drain acc = match Heap.pop h with Some (_, v) -> drain (v :: acc) | None -> List.rev acc in
+  Alcotest.(check (list string)) "key, then seq" [ "big"; "f2"; "f1"; "b0"; "b1" ] (drain [])
 
-let prop_deque_fifo =
-  QCheck.Test.make ~name:"deque push_back/pop_front is FIFO" ~count:200
-    QCheck.(list small_int)
-    (fun xs ->
-      let d = Deque.create 0 in
-      List.iter (Deque.push_back d) xs;
-      let rec drain acc =
-        match Deque.pop_front d with Some x -> drain (x :: acc) | None -> List.rev acc
-      in
-      drain [] = xs)
-
-(* Deque against a list model: arbitrary interleavings of push_back,
-   push_front, pop_front and remove_first (the Supervisor's "rotate a
-   blocked task's resolver to the front" move) agree with the obvious
-   list semantics at every step. *)
-let prop_deque_model =
-  let op =
-    QCheck.(
-      map
-        (fun (k, v) -> (k mod 4, v))
-        (pair small_nat small_nat))
-  in
-  QCheck.Test.make ~name:"deque matches its list model" ~count:300
-    QCheck.(list op)
+(* The Supervisor's ready queue in miniature: pushing to the back with
+   seqs 0, 1, 2, ... and to the front with -1, -2, ... drains exactly
+   like a double-ended queue built by the same pushes, stable-sorted by
+   key. *)
+let prop_heap_front_back =
+  QCheck.Test.make ~name:"heap with front/back seqs = stable-sorted deque" ~count:300
+    QCheck.(list (pair (int_bound 3) bool))
     (fun ops ->
-      let d = Deque.create 0 in
-      let model = ref [] in
-      List.for_all
-        (fun (k, v) ->
-          (match k with
-          | 0 ->
-              Deque.push_back d v;
-              model := !model @ [ v ]
-          | 1 ->
-              Deque.push_front d v;
-              model := v :: !model
-          | 2 -> (
-              let got = Deque.pop_front d in
-              match !model with
-              | [] -> assert (got = None)
-              | x :: rest ->
-                  assert (got = Some x);
-                  model := rest)
-          | _ -> (
-              (* remove the first element equal to v mod 7 — exercises
-                 mid-queue removal across the ring buffer's wraparound *)
-              let target = v mod 7 in
-              let got = Deque.remove_first d (fun x -> x mod 7 = target) in
-              let rec take = function
-                | [] -> (None, [])
-                | x :: rest when x mod 7 = target -> (Some x, rest)
-                | x :: rest ->
-                    let found, rest' = take rest in
-                    (found, x :: rest')
-              in
-              let found, rest = take !model in
-              assert (got = found);
-              model := rest));
-          Deque.to_list d = !model
-          && Deque.length d = List.length !model
-          && Deque.peek_front d = (match !model with [] -> None | x :: _ -> Some x))
-        ops)
+      let h = Heap.create 0 in
+      let back = ref 0 and front = ref 0 and deque = ref [] in
+      List.iteri
+        (fun v (k, to_front) ->
+          let key = float_of_int k in
+          if to_front then begin
+            decr front;
+            Heap.push ~seq:!front h key v;
+            deque := (key, v) :: !deque
+          end
+          else begin
+            Heap.push ~seq:!back h key v;
+            incr back;
+            deque := !deque @ [ (key, v) ]
+          end)
+        ops;
+      let rec drain acc = match Heap.pop h with Some e -> drain (e :: acc) | None -> List.rev acc in
+      drain [] = List.stable_sort (fun (a, _) (b, _) -> compare a b) !deque)
 
 (* Heap against stable sort: equal keys must drain in insertion order
    (the property that makes simulated schedules reproducible). *)
@@ -270,12 +234,8 @@ let () =
           Alcotest.test_case "order" `Quick test_heap_order;
           Tutil.qtest prop_heap_sorts;
           Tutil.qtest prop_heap_stable_drain;
-        ] );
-      ( "deque",
-        [
-          Alcotest.test_case "basic" `Quick test_deque;
-          Tutil.qtest prop_deque_fifo;
-          Tutil.qtest prop_deque_model;
+          Alcotest.test_case "caller seq tie-break" `Quick test_heap_seq_tiebreak;
+          Tutil.qtest prop_heap_front_back;
         ] );
       ( "quantile",
         [
