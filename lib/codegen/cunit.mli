@@ -30,8 +30,10 @@ val unit_keys : program -> string list
 
 val find_unit : program -> string -> t option
 
-(** Link units into a program.  [init] defaults to [[entry]].
-    @raise Invalid_argument on duplicate unit keys. *)
+(** Link units into a program.  [init] defaults to [[entry]].  Of two
+    units with one key (a procedure declared twice, already reported),
+    the one with the smaller disassembly is kept, whatever the arrival
+    order. *)
 val link :
   ?init:string list ->
   entry:string ->

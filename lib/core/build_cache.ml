@@ -32,6 +32,7 @@
 open Mcc_m2
 open Mcc_sched
 module Metrics = Mcc_obs.Metrics
+module Evlog = Mcc_obs.Evlog
 
 (* v3: Driver.result (persisted inside module-memo entries) grew the
    cache-eviction counter.  v2 added per-declaration slice digests and

@@ -24,6 +24,7 @@ open Mcc_codegen
 module P = Mcc_parse.Parser
 module A = Mcc_ast.Ast
 module Metrics = Mcc_obs.Metrics
+module Evlog = Mcc_obs.Evlog
 
 type heading_mode = Alt1 | Alt3
 
@@ -562,7 +563,7 @@ let finish_program comp ~entry =
   | None -> Cunit.link ~entry ~frames:[] [] (* deadlock: empty program *)
 
 (* Compile on the deterministic simulated multiprocessor.  [~capture]
-   records the structured concurrency event log (see Mcc_sched.Evlog) for
+   records the structured concurrency event log (see Mcc_obs.Evlog) for
    the happens-before analyzer; [~telemetry] accumulates the
    virtual-time metrics registry over the run.  The default path does no
    logging or metrics work, and neither option perturbs virtual time. *)

@@ -81,7 +81,7 @@ type result = {
       (** per imported interface, the exported names this compilation
           resolved (or failed to resolve) there — the fine-grained
           dependency record slice-level invalidation keys on; sorted *)
-  log : Mcc_sched.Evlog.record array;
+  log : Mcc_obs.Evlog.record array;
       (** the structured concurrency event log ([[||]] unless compiled
           with [~capture:true]) *)
   events_logged : int;  (** [Array.length log] *)

@@ -14,8 +14,7 @@
    the scheduler ([Mcc_sched.Des_engine], [Mcc_sched.Supervisor]), the
    symbol tables ([Mcc_sem.Symtab], [Mcc_sem.Modreg]) and the telemetry
    consumers in this library can all reach it without a dependency
-   cycle.  [Mcc_sched.Evlog] re-exports this module unchanged, so
-   existing emitters and analyzers are untouched.
+   cycle.
 
    Every record carries the virtual time at which it was appended: the
    engine stamps the clock with [set_time] at each agenda dispatch, and

@@ -23,6 +23,7 @@
 
 open Mcc_util
 module Metrics = Mcc_obs.Metrics
+module Evlog = Mcc_obs.Evlog
 
 type outcome = Completed | Deadlocked of string list
 

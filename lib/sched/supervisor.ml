@@ -19,6 +19,7 @@
 
 open Mcc_util
 module Metrics = Mcc_obs.Metrics
+module Evlog = Mcc_obs.Evlog
 
 type entry = Fresh of Task.t | Resumed of Task.t * Eff.resumption
 

@@ -41,6 +41,7 @@
 open Mcc_sched
 module Ls = Lookup_stats
 module Metrics = Mcc_obs.Metrics
+module Evlog = Mcc_obs.Evlog
 
 type dky = Sequential | Avoidance | Pessimistic | Skeptical | Optimistic
 

@@ -13,9 +13,10 @@
    - compile-only (the benchmark suite): procedures may call forward and
      imported procedures, loops may be unbounded — the code is compiled,
      never executed;
-   - [runnable]: calls go only to already-emitted procedures and all
-     loops are bounded, so the compiled program terminates in the VM
-     (used by examples and differential execution tests).
+   - [runnable]: calls go only to already-emitted procedures, all loops
+     are bounded and every body's estimated VM steps are capped, so the
+     compiled program finishes within the VM's fuel (used by examples
+     and differential execution tests).
 
    Uplevel references from nested procedures to enclosing procedure
    locals are never generated (the target machine has no static links;
@@ -114,6 +115,9 @@ type st = {
   imported_by_someone : (string, unit) Hashtbl.t;
       (* interfaces imported by another interface; the main module
          imports the rest so every interface is reachable *)
+  call_steps : (string, int) Hashtbl.t;
+      (* runnable: a bound on the VM steps one call of each generated
+         function takes *)
 }
 
 let line st fmt =
@@ -230,7 +234,32 @@ type penv = {
   for_depth : int ref;
   loop_var : string; (* the outermost FOR variable (also used in array indexes) *)
   scratch : string; (* a dedicated local for bounded WHILE loops *)
+  steps : int ref; (* runnable: VM-step bound of the body generated so far *)
+  trips : int ref; (* runnable: product of the enclosing loops' trip counts *)
 }
+
+(* Runnable programs must finish inside the VM's fuel, and a call inside
+   a loop multiplies the callee's steps by the loop's trips.  A statement
+   is charged [stmt_steps] per execution, a call its callee's bound, and
+   a body calls a function only while its own bound stays under
+   [body_step_cap]. *)
+let stmt_steps = 40
+let body_step_cap = 2_000_000
+let charge env n = env.steps := !(env.steps) + (!(env.trips) * n)
+
+let affordable st env =
+  if not st.shape.runnable then env.callable_funcs
+  else
+    List.filter
+      (fun f -> !(env.steps) + (!(env.trips) * Hashtbl.find st.call_steps f) <= body_step_cap)
+      env.callable_funcs
+
+(* generate a loop body that runs [n] times *)
+let looped env n body =
+  let outer = !(env.trips) in
+  env.trips := outer * n;
+  body ();
+  env.trips := outer
 
 let rec int_expr st rng env depth =
   if depth <= 0 then
@@ -239,6 +268,7 @@ let rec int_expr st rng env depth =
     | 1 when env.int_rvalues <> [] -> Prng.choose rng env.int_rvalues
     | _ -> if env.int_rvalues <> [] then Prng.choose rng env.int_rvalues else "7"
   else
+    let funcs = affordable st env in
     match Prng.int rng 8 with
     | 0 | 1 ->
         Printf.sprintf "(%s %s %s)" (int_expr st rng env (depth - 1))
@@ -248,8 +278,11 @@ let rec int_expr st rng env depth =
         Printf.sprintf "(%s DIV %d)" (int_expr st rng env (depth - 1)) (Prng.range rng 1 9)
     | 3 ->
         Printf.sprintf "(%s MOD %d)" (int_expr st rng env (depth - 1)) (Prng.range rng 2 9)
-    | 4 when env.callable_funcs <> [] ->
-        Printf.sprintf "%s(%s)" (Prng.choose rng env.callable_funcs) (int_expr st rng env (depth - 1))
+    | 4 when funcs <> [] ->
+        let arg = int_expr st rng env (depth - 1) in
+        let f = Prng.choose rng funcs in
+        if st.shape.runnable then charge env (Hashtbl.find st.call_steps f);
+        Printf.sprintf "%s(%s)" f arg
     | 5 -> Printf.sprintf "ABS(%s)" (int_expr st rng env (depth - 1))
     | 6 -> Printf.sprintf "ORD(ODD(%s))" (int_expr st rng env (depth - 1))
     | _ -> int_expr st rng env 0
@@ -271,6 +304,7 @@ let rec stmt st rng env ~budget =
   if !budget <= 0 then ()
   else begin
     decr budget;
+    charge env stmt_steps;
     match Prng.int rng 20 with
     | 0 | 1 | 2 | 3 | 4 when env.int_lvalues <> [] ->
         line st "%s := %s;" (Prng.choose rng env.int_lvalues) (int_expr st rng env 2)
@@ -286,18 +320,22 @@ let rec stmt st rng env ~budget =
         line st "END;"
     | 7 when !(env.for_depth) < List.length env.loop_vars ->
         let v = List.nth env.loop_vars !(env.for_depth) in
-        line st "FOR %s := 0 TO %d DO" v (Prng.range rng 3 12);
+        let last = Prng.range rng 3 12 in
+        line st "FOR %s := 0 TO %d DO" v last;
         incr env.for_depth;
-        nest st (fun () -> stmt_seq st rng env ~budget ~n:(Prng.range rng 1 3));
+        looped env (last + 1) (fun () ->
+            nest st (fun () -> stmt_seq st rng env ~budget ~n:(Prng.range rng 1 3)));
         decr env.for_depth;
         line st "END;"
     | 8 ->
         (* a bounded WHILE: terminates in both modes *)
-        line st "%s := %d;" env.scratch (Prng.range rng 2 9);
+        let n = Prng.range rng 2 9 in
+        line st "%s := %d;" env.scratch n;
         line st "WHILE %s > 0 DO" env.scratch;
-        nest st (fun () ->
-            stmt_seq st rng env ~budget ~n:(Prng.range rng 1 2);
-            line st "%s := %s - 1;" env.scratch env.scratch);
+        looped env n (fun () ->
+            nest st (fun () ->
+                stmt_seq st rng env ~budget ~n:(Prng.range rng 1 2);
+                line st "%s := %s - 1;" env.scratch env.scratch));
         line st "END;"
     | 9 ->
         line st "CASE (%s) MOD 4 OF" (int_expr st rng env 1);
@@ -403,7 +441,10 @@ let gen_proc st rng ~(defs : def_info list) ~from_imports ~globals ~index ~neste
       List.iter
         (fun nname ->
           line st "PROCEDURE %s(y: INTEGER): INTEGER;" nname;
-          line st "VAR t, u: INTEGER;";
+          (* runnable: the bounded WHILE gets its own counter [w]; with
+             the FOR variable [u] as its counter, a WHILE inside a FOR u
+             resets u every iteration and the FOR never ends *)
+          line st (if shape.runnable then "VAR t, u, w: INTEGER;" else "VAR t, u: INTEGER;");
           line st "BEGIN";
           nest st (fun () ->
               let env =
@@ -421,12 +462,15 @@ let gen_proc st rng ~(defs : def_info list) ~from_imports ~globals ~index ~neste
                   loop_vars = [ "u" ];
                   for_depth = ref 0;
                   loop_var = "u";
-                  scratch = "u";
+                  scratch = (if shape.runnable then "w" else "u");
+                  steps = ref stmt_steps;
+                  trips = ref 1;
                 }
               in
               line st "t := y; u := 0;";
               let budget = ref (Prng.range rng 2 5) in
               stmt_seq st rng env ~budget ~n:3;
+              Hashtbl.replace st.call_steps nname !(env.steps);
               line st "RETURN t + y");
           line st "END %s;" nname)
         nested);
@@ -477,6 +521,8 @@ let gen_proc st rng ~(defs : def_info list) ~from_imports ~globals ~index ~neste
           for_depth = ref 0;
           loop_var = "i";
           scratch = "lc";
+          steps = ref (8 * stmt_steps);
+          trips = ref 1;
         }
       in
       List.iteri (fun k x -> line st "%s := %d;" x (k + 1)) locals;
@@ -495,6 +541,7 @@ let gen_proc st rng ~(defs : def_info list) ~from_imports ~globals ~index ~neste
       while !budget > 0 do
         stmt st rng env ~budget
       done;
+      Hashtbl.replace st.call_steps fname !(env.steps);
       if is_func then line st "RETURN tmp");
   line st "END %s;" fname;
   line st "";
@@ -504,7 +551,14 @@ let generate ?seed (shape : shape) : Source_store.t =
   let rng = Prng.create (Option.value ~default:shape.seed seed) in
   let prog = shape.name in
   let st =
-    { rng; shape; buf = Buffer.create 4096; indent = 0; imported_by_someone = Hashtbl.create 32 }
+    {
+      rng;
+      shape;
+      buf = Buffer.create 4096;
+      indent = 0;
+      imported_by_someone = Hashtbl.create 32;
+      call_steps = Hashtbl.create 16;
+    }
   in
   (* --- definition modules, level by level --- *)
   let levels = plan_levels rng ~n:shape.n_defs ~depth:shape.depth in

@@ -8,6 +8,7 @@
 
 open Mcc_obs
 module Sched = Mcc_sched
+module Evlog = Mcc_obs.Evlog
 module Driver = Mcc_core.Driver
 module Trace_json = Mcc_analysis.Trace_json
 
@@ -70,26 +71,26 @@ let test_metrics_deterministic () =
 let test_evlog_monotonic_assert () =
   let raised = ref false in
   let (), _log =
-    Sched.Evlog.capture (fun () ->
-        Sched.Evlog.set_time 5.0;
-        Sched.Evlog.emit (Sched.Evlog.Task_start { task = 1 });
-        Sched.Evlog.set_time 2.0;
-        try Sched.Evlog.emit (Sched.Evlog.Task_finish { task = 1 })
+    Evlog.capture (fun () ->
+        Evlog.set_time 5.0;
+        Evlog.emit (Evlog.Task_start { task = 1 });
+        Evlog.set_time 2.0;
+        try Evlog.emit (Evlog.Task_finish { task = 1 })
         with Invalid_argument _ -> raised := true)
   in
   Alcotest.(check bool) "time regression rejected" true !raised
 
 let test_evlog_length_iter () =
   let (), log =
-    Sched.Evlog.capture (fun () ->
-        Alcotest.(check int) "fresh capture is empty" 0 (Sched.Evlog.length ());
-        Sched.Evlog.set_time 1.0;
-        Sched.Evlog.emit (Sched.Evlog.Task_start { task = 7 });
-        Sched.Evlog.set_time 4.0;
-        Sched.Evlog.emit (Sched.Evlog.Task_finish { task = 7 });
-        Alcotest.(check int) "length counts appends" 2 (Sched.Evlog.length ());
+    Evlog.capture (fun () ->
+        Alcotest.(check int) "fresh capture is empty" 0 (Evlog.length ());
+        Evlog.set_time 1.0;
+        Evlog.emit (Evlog.Task_start { task = 7 });
+        Evlog.set_time 4.0;
+        Evlog.emit (Evlog.Task_finish { task = 7 });
+        Alcotest.(check int) "length counts appends" 2 (Evlog.length ());
         let times = ref [] in
-        Sched.Evlog.iter (fun r -> times := r.Sched.Evlog.time :: !times);
+        Evlog.iter (fun r -> times := r.Evlog.time :: !times);
         Alcotest.(check (list (float 1e-9))) "iter in append order" [ 1.0; 4.0 ] (List.rev !times))
   in
   Alcotest.(check int) "captured both records" 2 (Array.length log)
@@ -100,20 +101,20 @@ let test_evlog_length_iter () =
    producer's scope from t=3 until the signal at t=6, then runs to
    t=10.  Written directly as records, independent of the engine. *)
 let canned_log () =
-  let mk seq time task kind = { Sched.Evlog.seq; time; task; kind } in
+  let mk seq time task kind = { Evlog.seq; time; task; kind } in
   [|
-    mk 0 0.0 (-1) (Sched.Evlog.Task_spawn { task = 1; name = "producer"; cls = "defparse"; gate = -1 });
-    mk 1 0.0 (-1) (Sched.Evlog.Task_spawn { task = 2; name = "consumer"; cls = "shortgen"; gate = -1 });
-    mk 2 1.0 (-1) (Sched.Evlog.Task_start { task = 1 });
-    mk 3 2.0 (-1) (Sched.Evlog.Task_start { task = 2 });
-    mk 4 3.0 2 (Sched.Evlog.Dky_block { scope = 5; scope_name = "M.def"; sym = "x"; ev = 9 });
-    mk 5 3.0 2 (Sched.Evlog.Ev_block { ev = 9; name = "M.def.complete"; producer = 1 });
-    mk 6 6.0 1 (Sched.Evlog.Complete { scope = 5; scope_name = "M.def" });
-    mk 7 6.0 1 (Sched.Evlog.Ev_signal { ev = 9; name = "M.def.complete" });
-    mk 8 6.0 1 (Sched.Evlog.Ev_wake { ev = 9; task = 2 });
-    mk 9 6.0 2 (Sched.Evlog.Dky_unblock { scope = 5; scope_name = "M.def"; sym = "x"; ev = 9 });
-    mk 10 6.0 (-1) (Sched.Evlog.Task_finish { task = 1 });
-    mk 11 10.0 (-1) (Sched.Evlog.Task_finish { task = 2 });
+    mk 0 0.0 (-1) (Evlog.Task_spawn { task = 1; name = "producer"; cls = "defparse"; gate = -1 });
+    mk 1 0.0 (-1) (Evlog.Task_spawn { task = 2; name = "consumer"; cls = "shortgen"; gate = -1 });
+    mk 2 1.0 (-1) (Evlog.Task_start { task = 1 });
+    mk 3 2.0 (-1) (Evlog.Task_start { task = 2 });
+    mk 4 3.0 2 (Evlog.Dky_block { scope = 5; scope_name = "M.def"; sym = "x"; ev = 9 });
+    mk 5 3.0 2 (Evlog.Ev_block { ev = 9; name = "M.def.complete"; producer = 1 });
+    mk 6 6.0 1 (Evlog.Complete { scope = 5; scope_name = "M.def" });
+    mk 7 6.0 1 (Evlog.Ev_signal { ev = 9; name = "M.def.complete" });
+    mk 8 6.0 1 (Evlog.Ev_wake { ev = 9; task = 2 });
+    mk 9 6.0 2 (Evlog.Dky_unblock { scope = 5; scope_name = "M.def"; sym = "x"; ev = 9 });
+    mk 10 6.0 (-1) (Evlog.Task_finish { task = 1 });
+    mk 11 10.0 (-1) (Evlog.Task_finish { task = 2 });
   |]
 
 let test_span_canned () =
@@ -261,16 +262,16 @@ let test_trace_json_instants () =
   let log =
     [|
       {
-        Sched.Evlog.seq = 0;
+        Evlog.seq = 0;
         time = 12.0;
         task = -1;
-        kind = Sched.Evlog.Fault_inject { fault = "crash-at-start"; victim = "Gen Main.P" };
+        kind = Evlog.Fault_inject { fault = "crash-at-start"; victim = "Gen Main.P" };
       };
       {
-        Sched.Evlog.seq = 1;
+        Evlog.seq = 1;
         time = 20.0;
         task = -1;
-        kind = Sched.Evlog.Task_retry { task = 2; attempt = 1 };
+        kind = Evlog.Task_retry { task = 2; attempt = 1 };
       };
     |]
   in

@@ -103,6 +103,38 @@ let test_error_recovery_continues () =
 let test_duplicate_declaration () =
   expect_error (modsrc ~decls:"VAR x: INTEGER; x: CHAR;" ~body:"" ()) "already declared"
 
+(* A procedure declared twice yields two units with one key: every
+   driver reports exactly the declaration diagnostic, never a link or
+   merge failure, and all three link the same program. *)
+let test_duplicate_procedure () =
+  let src =
+    modsrc ~decls:"PROCEDURE p;\nBEGIN\nEND p;\nPROCEDURE p;\nBEGIN WriteInt(1)\nEND p;" ~body:"p" ()
+  in
+  let st = store ~name:"T" src in
+  let seq = Seq_driver.compile st in
+  let des = Driver.compile st in
+  let dom = Driver.compile_domains ~domains:2 st in
+  let expected = [ "T.mod:6:11: error: p is already declared in this scope" ] in
+  Alcotest.(check (list string)) "seq diagnostics" expected (diag_strings seq.Seq_driver.diags);
+  Alcotest.(check (list string)) "DES diagnostics" expected (diag_strings des.Driver.diags);
+  Alcotest.(check (list string)) "domain diagnostics" expected (diag_strings dom.Driver.d_diags);
+  Alcotest.(check string) "DES program" (dis seq.Seq_driver.program) (dis des.Driver.program);
+  Alcotest.(check string) "domain program" (dis seq.Seq_driver.program) (dis dom.Driver.d_program)
+
+(* QCHECK_SEED=530245490: two procedures recovered as <error> yield two
+   units T.<error>. *)
+let test_soup_duplicate_error_units () =
+  let src =
+    "IMPLEMENTATION MODULE T;\n\
+     FROM THEN id4 id2 .. id4 id0 id2 id1 PROCEDURE := 85 id4 WHILE 3 } 0 id4 id3 7 8 id2 : 0 4 \
+     id4 id1 0 CONST 16 id3 id0 CASE id2 id2 id1 5 id4 \"str\" . id2 id1 id2 id1 RETURN 2 44 71 \
+     id3 ^ PROCEDURE 7 16 id1 id4 CASE 4 id0 id0 id2 id1 ( 34 id2 1 EXCEPT 72 VAR id1 3 7 id4 id2 \
+     7 id1 9 id0 END 9 id2 2 7 id4 id2 TRY .. id2 2 id1 1 'c' id4 CASE 6 ) OF 8\n\
+     END T.\n"
+  in
+  let r = compile_seq src in
+  Alcotest.(check bool) "has errors" false r.Seq_driver.ok
+
 let test_builtin_redeclaration () =
   expect_error (modsrc ~decls:"VAR INTEGER: CHAR;" ~body:"" ()) "builtin"
 
@@ -198,6 +230,7 @@ let () =
           Alcotest.test_case "unclosed if" `Quick test_unclosed_if;
           Alcotest.test_case "recovery continues" `Quick test_error_recovery_continues;
           Alcotest.test_case "duplicate declaration" `Quick test_duplicate_declaration;
+          Alcotest.test_case "duplicate procedure" `Quick test_duplicate_procedure;
           Alcotest.test_case "builtin redeclaration" `Quick test_builtin_redeclaration;
           Alcotest.test_case "opaque outside def" `Quick test_opaque_only_in_def;
           Alcotest.test_case "missing import" `Quick test_missing_import;
@@ -205,5 +238,10 @@ let () =
           Alcotest.test_case "def/impl mismatch" `Quick test_def_impl_signature_mismatch;
         ] );
       ("ast", [ Alcotest.test_case "stmt size" `Quick test_stmt_size ]);
-      ("robustness", [ Tutil.qtest prop_parser_never_raises ]);
+      ( "robustness",
+        [
+          Tutil.qtest prop_parser_never_raises;
+          Alcotest.test_case "soup with two <error> procedures" `Quick
+            test_soup_duplicate_error_units;
+        ] );
     ]
