@@ -158,11 +158,12 @@ let fig2 () =
   say "measured Synth DKY blockages: %d" (Ls.dky_blocks c.Driver.stats)
 
 let render_one store label =
-  let c = Driver.compile ~config:Driver.default_config store in
+  let c = Driver.compile ~config:Driver.default_config ~capture:true store in
+  let forest = Mcc_obs.Dtrace.assemble c.Driver.log in
   say "--- %s: %d streams, %d tasks, end %.2f virtual s ---" label c.Driver.n_streams
     c.Driver.n_tasks c.Driver.sim.Des.end_seconds;
-  say "%s" (Watchtool.render c.Driver.sim.Des.trace ~procs:8);
-  say "%s" (Watchtool.summary c.Driver.sim.Des.trace ~procs:8)
+  say "%s" (Watchtool.render forest ~procs:8);
+  say "%s" (Watchtool.summary forest ~procs:8)
 
 let fig4 () =
   header "Figure 4: WatchTool Snapshots (one program per quartile + Synth, 8 processors)";
@@ -311,17 +312,17 @@ let barrier () =
         end_time (Driver.compile ~config:{ Driver.default_config with Driver.procs = n } store)
       in
       Mcc_m2.Tokq.set_default_barrier true;
-      let cb = Driver.compile ~config:{ Driver.default_config with Driver.procs = n } store in
+      let cb =
+        Driver.compile ~config:{ Driver.default_config with Driver.procs = n } ~capture:true store
+      in
       Mcc_m2.Tokq.set_default_barrier false;
       let barrier_t = end_time cb in
       let wait_time =
         List.fold_left
-          (fun acc (s : Mcc_sched.Trace.seg) ->
-            if s.Mcc_sched.Trace.kind = Mcc_sched.Trace.Waitbar then
-              acc +. (s.Mcc_sched.Trace.t1 -. s.Mcc_sched.Trace.t0)
+          (fun acc (s : Mcc_obs.Dtrace.span) ->
+            if s.Mcc_obs.Dtrace.d_kind = "barrier-wait" then acc +. Mcc_obs.Dtrace.duration s
             else acc)
-          0.0
-          (Mcc_sched.Trace.segments cb.Driver.sim.Des.trace)
+          0.0 (Mcc_obs.Dtrace.assemble cb.Driver.log).Mcc_obs.Dtrace.spans
       in
       say "  N=%d: handled %10.0f units, barrier %10.0f (%+.1f%%), barrier-wait share %.1f%% of processor time"
         n handled barrier_t
@@ -759,10 +760,9 @@ let speedup_artifacts () =
           ~module_name:(Source_store.main_name store)
           ~procs:Driver.default_config.Driver.procs
           ~strategy:(Mcc_sem.Symtab.dky_name Driver.default_config.Driver.strategy)
-          ~end_time:(end_time c)
           ~seconds_per_unit:Mcc_sched.Costs.seconds_per_unit
           ~metrics:(Option.value ~default:[] c.Driver.telemetry)
-          c.Driver.log
+          (Mcc_obs.Dtrace.assemble c.Driver.log)
       in
       if not (Mcc_obs.Profile.tiles_end profile) then
         fail "critical-path attribution does not sum to the end-to-end time";
@@ -1285,11 +1285,15 @@ let trace_bench () =
   let serve_run ~trace () =
     Srv.serve ~trace ~cache:(Srv.cache ()) serve_cfg (Traffic.generate serve_traffic)
   in
+  (* every cell's span forest must validate *)
+  let forest cell subs events =
+    let t = Dtrace.assemble ~subs events in
+    match Dtrace.validate t with
+    | Ok () -> t
+    | Error e -> fail "%s cell: span forest does not validate: %s" cell e
+  in
   let r1 = serve_run ~trace:true () in
-  let t1 = Dtrace.assemble ~subs:r1.Srv.r_subs r1.Srv.r_events in
-  (match Dtrace.validate t1 with
-  | Ok () -> ()
-  | Error e -> fail "serve cell: span forest does not validate: %s" e);
+  let t1 = forest "serve" r1.Srv.r_subs r1.Srv.r_events in
   let n_roots = List.length (Dtrace.roots t1) in
   if n_roots <> r1.Srv.r_submitted then
     fail "serve cell: %d root spans for %d submitted jobs" n_roots r1.Srv.r_submitted;
@@ -1324,10 +1328,7 @@ let trace_bench () =
   let store = Suite.program farm_rank in
   let farm_cfg = { Farm.default_config with Farm.compile = Driver.default_config } in
   let fr = Farm.run ~trace:true farm_cfg store in
-  let ft = Dtrace.assemble ~subs:fr.Farm.f_subs fr.Farm.f_events in
-  (match Dtrace.validate ft with
-  | Ok () -> ()
-  | Error e -> fail "farm cell: span forest does not validate: %s" e);
+  let ft = forest "farm" fr.Farm.f_subs fr.Farm.f_events in
   let cr = Dtrace.critpath ft in
   let c_end_s = cr.Dtrace.c_end *. spu in
   let eps = 1e-6 *. Float.max 1.0 fr.Farm.f_makespan in
@@ -1362,10 +1363,7 @@ let trace_bench () =
     }
   in
   let hr = Srv.serve ~trace:true ~cache:(Srv.cache ()) hot_cfg (Traffic.generate hot_traffic) in
-  let ht = Dtrace.assemble ~subs:hr.Srv.r_subs hr.Srv.r_events in
-  (match Dtrace.validate ht with
-  | Ok () -> ()
-  | Error e -> fail "recorder cell: span forest does not validate: %s" e);
+  let ht = forest "recorder" hr.Srv.r_subs hr.Srv.r_events in
   let slo = hr.Srv.r_slo in
   if Slo.trip_count slo = 0 then fail "recorder cell: overload produced no trips";
   List.iter

@@ -134,8 +134,8 @@ let trace_json_arg =
     & opt (some string) None
     & info [ "trace-json" ] ~docv:"PATH"
         ~doc:
-          "Write the simulated execution trace to $(docv) in Chrome trace_event JSON (load in \
-           chrome://tracing or ui.perfetto.dev).  Simulator only.")
+          "Write the compile's span forest to $(docv) in Chrome trace_event JSON, one lane per \
+           simulated processor (load in chrome://tracing or ui.perfetto.dev).  Simulator only.")
 
 let inject_arg =
   Arg.(
@@ -223,22 +223,29 @@ let compile_cmd =
     in
     match domains with
     | Some n ->
-        if trace_json <> None then
-          prerr_endline "m2c: warning: --trace-json only applies to the simulator; ignored";
-        if config.Driver.faults <> [] then
-          prerr_endline "m2c: warning: --inject only applies to the simulator; ignored";
+        List.iter
+          (fun (given, flag) ->
+            if given then
+              Printf.eprintf "m2c: warning: %s only applies to the simulator; ignored\n" flag)
+          [
+            (watch, "--watch");
+            (dump_tasks, "--dump-tasks");
+            (trace_json <> None, "--trace-json");
+            (config.Driver.faults <> [], "--inject");
+          ];
         let r = Driver.compile_domains ~config ?cache ~domains:n store in
         report_diags r.Driver.d_diags;
         finish_cache cache;
         Printf.printf "compiled on %d domains in %.4f s wall; %d tasks; ok=%b\n" n
           r.Driver.d_wall_seconds r.Driver.d_tasks_run r.Driver.d_ok;
+        if stats then print_endline (Mcc_stats.Tables.table2 r.Driver.d_stats);
         if disasm then print_string (Mcc_codegen.Cunit.disassemble r.Driver.d_program);
         if r.Driver.d_ok then `Ok () else `Error (false, "compilation failed")
     | None ->
         let procs = config.Driver.procs in
-        (* --trace-json needs the event log for its fault-instant rows:
-           asking for the export implies capturing *)
-        let r = Driver.compile ~config ~capture:(trace_json <> None) ?cache store in
+        (* the timeline views render the captured log's span forest *)
+        let r = Driver.compile ~config ~capture:(watch || trace_json <> None) ?cache store in
+        let forest = lazy (Mcc_obs.Dtrace.assemble r.Driver.log) in
         report_diags r.Driver.diags;
         finish_cache cache;
         Printf.printf
@@ -250,8 +257,8 @@ let compile_cmd =
         report_robustness r;
         if watch then begin
           print_endline Mcc_stats.Watchtool.legend;
-          print_string (Mcc_stats.Watchtool.render r.Driver.sim.Mcc_sched.Des_engine.trace ~procs);
-          print_endline (Mcc_stats.Watchtool.summary r.Driver.sim.Mcc_sched.Des_engine.trace ~procs)
+          print_string (Mcc_stats.Watchtool.render (Lazy.force forest) ~procs);
+          print_endline (Mcc_stats.Watchtool.summary (Lazy.force forest) ~procs)
         end;
         if stats then print_endline (Mcc_stats.Tables.table2 r.Driver.stats);
         if dump_tasks then print_string (Driver.dump_tasks r);
@@ -260,8 +267,8 @@ let compile_cmd =
         | None -> ()
         | Some path -> (
             let json =
-              Mcc_analysis.Trace_json.export ~names:r.Driver.task_index ~log:r.Driver.log
-                r.Driver.sim.Mcc_sched.Des_engine.trace
+              Mcc_analysis.Trace_json.export_spans
+                ~sec_per_unit:Mcc_sched.Costs.seconds_per_unit (Lazy.force forest)
             in
             match write_file ~line:("trace: " ^ path) path json with
             | Ok () -> ()
@@ -507,10 +514,9 @@ let profile_cmd =
         Mcc_obs.Profile.make
           ~module_name:(Source_store.main_name store)
           ~procs:config.Driver.procs ~strategy:(Symtab.dky_name config.Driver.strategy)
-          ~end_time:r.Driver.sim.Mcc_sched.Des_engine.end_time
           ~seconds_per_unit:Mcc_sched.Costs.seconds_per_unit
           ~metrics:(Option.value ~default:[] r.Driver.telemetry)
-          r.Driver.log
+          (Mcc_obs.Dtrace.assemble r.Driver.log)
       in
       print_string (Mcc_obs.Profile.render ~top p);
       let* () = export "json" json (Mcc_obs.Profile.to_json p) Mcc_obs.Json.validate in

@@ -210,11 +210,12 @@ let check (log : Evlog.record array) : report =
           incr n_spawned;
           Hashtbl.replace task_names task name;
           if gate >= 0 then Hashtbl.replace gates task gate
-      | Evlog.Task_start { task } -> (
+      | Evlog.Task_start { task; _ } -> (
           match Hashtbl.find_opt gates task with
           | Some gate when not (Hashtbl.mem signals gate) ->
               flag (Start_before_gate { task; gate; start_seq = r.Evlog.seq })
           | _ -> ())
+      | Evlog.Task_resume _ -> ()
       | Evlog.Task_finish _ -> incr n_finished
       | Evlog.Ev_signal { ev; _ } ->
           incr n_signals;

@@ -234,30 +234,31 @@ let install t ~scope ~merger ~diags =
    fresh types can never collide (uid equality is name equivalence).
    Pointer targets can form cycles, so visited uid-nodes are tracked. *)
 
-let rec ty_uids seen acc (ty : Types.ty) =
+let rec ty_uids f seen acc (ty : Types.ty) =
   let node uid children =
     if Hashtbl.mem seen uid then acc
     else begin
       Hashtbl.replace seen uid ();
-      List.fold_left (ty_uids seen) (max acc uid) children
+      List.fold_left (ty_uids f seen) (f uid acc) children
     end
   in
   match ty with
   | Types.TEnum e -> node e.Types.euid []
-  | Types.TSub (b, _, _) -> ty_uids seen acc b
+  | Types.TSub (b, _, _) -> ty_uids f seen acc b
   | Types.TArr a -> node a.Types.auid [ a.Types.index; a.Types.elem ]
-  | Types.TOpenArr e -> ty_uids seen acc e
+  | Types.TOpenArr e -> ty_uids f seen acc e
   | Types.TRec r -> node r.Types.ruid (List.map (fun (_, f) -> f.Types.fty) r.Types.fields)
   | Types.TPtr p -> node p.Types.puid [ p.Types.target ]
   | Types.TSet s -> node s.Types.suid [ s.Types.sbase ]
-  | Types.TProc sg -> signature_uids seen acc sg
+  | Types.TProc sg -> signature_uids f seen acc sg
   | _ -> acc
 
-and signature_uids seen acc (sg : Types.signature) =
-  let acc = List.fold_left (fun acc p -> ty_uids seen acc p.Types.pty) acc sg.Types.params in
-  match sg.Types.result with Some r -> ty_uids seen acc r | None -> acc
+and signature_uids f seen acc (sg : Types.signature) =
+  let acc = List.fold_left (fun acc p -> ty_uids f seen acc p.Types.pty) acc sg.Types.params in
+  match sg.Types.result with Some r -> ty_uids f seen acc r | None -> acc
 
-let max_uid t =
+(* Fold [f] over every distinct type uid reachable from the symbols. *)
+let fold_uids f init t =
   let seen = Hashtbl.create 64 in
   List.fold_left
     (fun acc (s : Symbol.t) ->
@@ -266,7 +267,18 @@ let max_uid t =
       | Symbol.SType ty
       | Symbol.SVar (_, ty)
       | Symbol.SEnumLit (ty, _) ->
-          ty_uids seen acc ty
-      | Symbol.SProc pi -> signature_uids seen acc pi.Symbol.sig_
+          ty_uids f seen acc ty
+      | Symbol.SProc pi -> signature_uids f seen acc pi.Symbol.sig_
       | Symbol.SModule _ | Symbol.SBuiltin _ | Symbol.SPlaceholder _ -> acc)
-    0 t.a_symbols
+    init t.a_symbols
+
+let max_uid t = fold_uids max 0 t
+
+(* Uids come from a process-wide counter, and Marshal writes larger
+   integers in more bytes, so the raw marshaled size of an artifact
+   depends on how many types the process allocated before it.  The
+   wire size counts every uid as 0 instead. *)
+let wire_size t =
+  let uids = Array.of_list (fold_uids List.cons [] t) in
+  let size v = String.length (Marshal.to_string v []) in
+  size t - size uids + size (Array.make (Array.length uids) 0)

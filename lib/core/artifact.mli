@@ -74,3 +74,8 @@ val install : t -> scope:Symtab.t -> merger:Cunit.merger -> diags:Diag.t -> unit
 (** The largest type uid reachable from the artifact's symbols — the
     loader's input to {!Types.bump_uid_floor}. *)
 val max_uid : t -> int
+
+(** The artifact's marshaled size with every type uid counted as 0:
+    uids are process-local, so this size (the build farm's transfer
+    payload) does not depend on what the process compiled before. *)
+val wire_size : t -> int

@@ -96,7 +96,6 @@ type result = {
   n_tasks : int;
   tokens : int; (* tokens lexed across all files *)
   task_list : (string * string) list; (* (class, name) per instantiated task, Fig. 5 *)
-  task_index : (int * string) list; (* task id -> name, for trace/log rendering *)
   cache_hits : string list; (* interfaces installed from the build cache, sorted *)
   cache_misses : string list; (* interfaces fingerprinted but compiled cold, sorted *)
   cache_evictions : int; (* size-bound evictions in the shared cache during this run *)
@@ -106,7 +105,6 @@ type result = {
          fine-grained dependency record Project's slice-level
          invalidation keys on; sorted, deterministic *)
   log : Evlog.record array; (* captured event log ([||] unless ~capture:true) *)
-  events_logged : int;
   telemetry : Metrics.snapshot option; (* metrics registry dump (None unless ~telemetry:true) *)
   perturb_seed : int option; (* the config's exploration seed, echoed back *)
   robustness : robustness;
@@ -143,7 +141,7 @@ type comp = {
   mutable next_stream : int;
   mutable n_defs : int;
   mutable n_tasks : int;
-  mutable task_names : (int * string * string) list; (* reversed (id, class, name) *)
+  mutable task_names : (string * string) list; (* reversed (class, name) *)
   tasks_mu : Mutex.t;
   (* completion accounting: splitter hold + module body + per procedure
      stream + per definition-module stream; 0 => signal all_done *)
@@ -170,7 +168,7 @@ let release comp =
 let record_task comp (task : Task.t) =
   Mutex.lock comp.tasks_mu;
   comp.n_tasks <- comp.n_tasks + 1;
-  comp.task_names <- (task.Task.id, Task.cls_name task.Task.cls, task.Task.name) :: comp.task_names;
+  comp.task_names <- (Task.cls_name task.Task.cls, task.Task.name) :: comp.task_names;
   Mutex.unlock comp.tasks_mu;
   if Metrics.enabled () then
     Metrics.incr ~labels:[ ("cls", Task.cls_name task.Task.cls) ] "mcc_tasks_total"
@@ -656,15 +654,13 @@ let compile ?(config = default_config) ?(capture = false) ?(telemetry = false) ?
     n_streams = 1 + n_procs + comp.n_defs;
     n_tasks = comp.n_tasks;
     tokens = comp.total_tokens;
-    task_list = List.rev_map (fun (_, cls, name) -> (cls, name)) comp.task_names;
-    task_index = List.rev_map (fun (id, _, name) -> (id, name)) comp.task_names;
+    task_list = List.rev comp.task_names;
     cache_hits = List.sort compare comp.cache_hits;
     cache_misses = List.sort compare comp.cache_misses;
     cache_evictions =
       (match cache with Some c -> Build_cache.eviction_count c - evict0 | None -> 0);
     used_slices = Lookup_stats.used_slices comp.stats;
     log;
-    events_logged = Array.length log;
     telemetry = telem;
     perturb_seed = config.perturb;
     robustness;

@@ -66,8 +66,6 @@ type result = {
   n_tasks : int;
   tokens : int;  (** tokens lexed across all files *)
   task_list : (string * string) list;  (** (class, name) per instantiated task *)
-  task_index : (int * string) list;
-      (** task id -> name for every spawned task, for trace/log rendering *)
   cache_hits : string list;
       (** interfaces installed from the build cache instead of spawning
           their streams, sorted (empty without a cache) *)
@@ -84,7 +82,6 @@ type result = {
   log : Mcc_obs.Evlog.record array;
       (** the structured concurrency event log ([[||]] unless compiled
           with [~capture:true]) *)
-  events_logged : int;  (** [Array.length log] *)
   telemetry : Mcc_obs.Metrics.snapshot option;
       (** the virtual-time metrics registry dump ([None] unless compiled
           with [~telemetry:true]) *)

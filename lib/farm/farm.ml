@@ -351,7 +351,7 @@ let run ?(capture = false) ?(trace = false) cfg store =
                 match Build_cache.latest_artifact server.Node.cache iface with
                 | None -> fallback ()
                 | Some art ->
-                    let bytes = String.length (Marshal.to_string art []) in
+                    let bytes = Artifact.wire_size art in
                     let replica =
                       match Hashtbl.find_opt replica_of iface with
                       | Some r
@@ -402,6 +402,25 @@ let run ?(capture = false) ?(trace = false) cfg store =
       0.0 needs
   in
   let note_later at kind = Heap.push agenda at (Note kind) in
+  (* an inner engine run on node [n]: captured as a sub-log when tracing,
+     kept out of the farm's own log otherwise *)
+  let compile_inner (n : Node.t) store =
+    if trace then Driver.compile ~config:compile_config ~capture:true ~cache:n.Node.cache store
+    else Evlog.suspend (fun () -> Driver.compile ~config:compile_config ~cache:n.Node.cache store)
+  in
+  (* its log becomes a sub-trace of compute span [owner], starting at
+     [at] seconds and stretched by [scale] *)
+  let add_sub owner at scale (r : Driver.result) =
+    if Array.length r.Driver.log > 0 then
+      subs :=
+        {
+          Dtrace.sub_owner = owner;
+          sub_t0 = at /. Costs.seconds_per_unit;
+          sub_scale = scale;
+          sub_log = r.Driver.log;
+        }
+        :: !subs
+  in
   (* close node [i]'s open task span (crash path: the scheduled child
      ends are generation-guarded, so they die with the node and the
      children close as "lost" at assembly time) *)
@@ -534,15 +553,7 @@ let run ?(capture = false) ?(trace = false) cfg store =
               let fetch_elapsed =
                 fetch_deps n ~at:!now ~note:note_later ?spans:tsp (Hashtbl.find trans iface)
               in
-              let probe =
-                if trace then
-                  Driver.compile ~config:compile_config ~capture:true ~cache:n.Node.cache
-                    (probe_store store iface)
-                else
-                  Evlog.suspend (fun () ->
-                      Driver.compile ~config:compile_config ~cache:n.Node.cache
-                        (probe_store store iface))
-              in
+              let probe = compile_inner n (probe_store store iface) in
               let slowf = if n.Node.slow then Costs.node_slow_factor else 1.0 in
               let service =
                 fetch_elapsed +. (probe.Driver.sim.Des_engine.end_seconds *. slowf)
@@ -561,16 +572,7 @@ let run ?(capture = false) ?(trace = false) cfg store =
                          node = i;
                        });
                   gnote (!now +. service) (Evlog.Span_end { span = csp; status = "ok" });
-                  if Array.length probe.Driver.log > 0 then
-                    subs :=
-                      {
-                        Dtrace.sub_owner = csp;
-                        sub_t0 = (!now +. fetch_elapsed) /. Costs.seconds_per_unit;
-                        sub_scale = slowf;
-                        sub_log = probe.Driver.log;
-                        sub_names = probe.Driver.task_index;
-                      }
-                      :: !subs
+                  add_sub csp (!now +. fetch_elapsed) slowf probe
               | None -> ());
               n.Node.busy_until <- !now +. service;
               Heap.push agenda (!now +. service)
@@ -680,13 +682,7 @@ let run ?(capture = false) ?(trace = false) cfg store =
             else None
           in
           let fetch_elapsed = fetch_deps home ~at:!now ~note:buffer ?spans:asp topo in
-          let final =
-            if trace then
-              Driver.compile ~config:compile_config ~capture:true ~cache:home.Node.cache store
-            else
-              Evlog.suspend (fun () ->
-                  Driver.compile ~config:compile_config ~cache:home.Node.cache store)
-          in
+          let final = compile_inner home store in
           let slowf = if home.Node.slow then Costs.node_slow_factor else 1.0 in
           let makespan =
             !now +. fetch_elapsed +. (final.Driver.sim.Des_engine.end_seconds *. slowf)
@@ -704,16 +700,7 @@ let run ?(capture = false) ?(trace = false) cfg store =
                      kind = "compute";
                      node = home.Node.id;
                    });
-              if Array.length final.Driver.log > 0 then
-                subs :=
-                  {
-                    Dtrace.sub_owner = csp;
-                    sub_t0 = (!now +. fetch_elapsed) /. Costs.seconds_per_unit;
-                    sub_scale = slowf;
-                    sub_log = final.Driver.log;
-                    sub_names = final.Driver.task_index;
-                  }
-                  :: !subs;
+              add_sub csp (!now +. fetch_elapsed) slowf final;
               buffer makespan (Evlog.Span_end { span = csp; status = "ok" });
               buffer makespan (Evlog.Span_end { span = sp; status = "ok" })
           | None -> ());

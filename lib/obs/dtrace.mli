@@ -1,13 +1,19 @@
-(** Distributed-trace assembly: the span forest behind [m2c trace].
+(** The span forest: the one timeline model behind [m2c trace],
+    [m2c profile], WatchTool and the Chrome export.
 
-    Traced serve/farm runs bracket every unit of a request's life with
-    [Evlog.Span_start]/[Span_end] pairs and capture each nested
-    [Driver.compile] log as a {!sub}; {!assemble} folds both into one
-    forest on a single virtual-time axis.  Tile-kind children (queue,
-    service, probe, compile, retry, fetch, compute) must exactly
-    partition their parent; annotation kinds (rpc legs, inner engine
-    tasks) are containment-only.  All times are Evlog virtual units;
-    renderers take [sec_per_unit]. *)
+    A captured compile folds into a one-root forest: a ["compile"] root,
+    one ["inner-task"] span per DES task, and under each task the
+    segments that exactly tile its life — ["queue"], ["run"],
+    ["barrier-wait"], ["dky-wait"], ["event-wait"], ["backoff"] — with
+    the simulated processor on run and barrier-wait spans and cause
+    edges on waits and first queues.  Traced serve/farm runs bracket
+    every unit of a request's life with [Evlog.Span_start]/[Span_end]
+    pairs and capture each nested [Driver.compile] log as a {!sub},
+    which contributes its inner-task spans.  Tile-kind children (queue,
+    service, probe, compile, retry, fetch, compute, DES task segments)
+    must exactly partition their parent; annotation kinds (rpc legs,
+    inner tasks) are containment-only.  All times are Evlog virtual
+    units; renderers take [sec_per_unit]. *)
 
 type span = {
   d_span : int;
@@ -16,6 +22,12 @@ type span = {
   d_name : string;
   d_kind : string;
   d_node : int;  (** -1 = not node-bound *)
+  d_proc : int;  (** simulated processor of a run/barrier-wait span; -1 otherwise *)
+  d_cls : string;  (** DES task class of an inner task and its segments; [""] otherwise *)
+  d_cause : (int * float) option;
+      (** task span id and time of what ended a wait (its signaller), or
+          made a task ready (on the task and its first queue span: the
+          gate signaller or the spawner, -1 = the scheduler) *)
   d_t0 : float;  (** virtual units *)
   d_t1 : float;
   d_status : string;  (** ["ok"], ["hit"], ["shed"], ["deadline"], ["crashed"], ["lost"], ... *)
@@ -29,54 +41,55 @@ type sub = {
   sub_t0 : float;
   sub_scale : float;
   sub_log : Evlog.record array;
-  sub_names : (int * string) list;
 }
 
+(** A fault-recovery moment of an engine run (injection, retry,
+    quarantine, watchdog rescue). *)
+type instant = { i_t : float; i_name : string; i_detail : string }
+
 type t = {
-  spans : span list;  (** ascending span id *)
+  spans : span list;
+      (** outer spans in start order, then engine tasks, each before its segments *)
+  instants : instant list;  (** the log's fault-recovery moments, chronological *)
   end_time : float;  (** last span end / last record, units *)
 }
 
 val duration : span -> float
 
-(** The tiling relation: must children of [child_kind] partition a
-    [parent_kind] span exactly? *)
-val is_tile : parent_kind:string -> child_kind:string -> bool
-
 val roots : t -> span list
 
-(** Child lists per parent span id, sorted by (t0, id). *)
-val children : t -> (int, span list) Hashtbl.t
-
-(** Fold a captured outer log plus nested engine captures into a
-    forest.  Spans left open (a crashed node's scheduled ends never
+(** Fold a captured log plus nested engine captures into a forest —
+    the only fold from an Evlog to a timeline.  A log holding a DES
+    engine run (a captured compile) becomes a ["compile"] root over
+    its task spans, which keep their DES task ids, and their
+    segments.  Spans left open (a crashed node's scheduled ends never
     fired) close at their parent's end with status ["lost"]; inner
-    task spans are rebased at the owner's start, scaled by
+    task spans of [subs] are rebased at the owner's start, scaled by
     [sub_scale], clamped into the owner interval, kind
     ["inner-task"]. *)
 val assemble : ?subs:sub list -> Evlog.record array -> t
 
-(** Spans whose parent id names no span in the forest. *)
-val orphans : t -> span list
-
-(** (child, parent) pairs where the child interval leaks outside the
-    parent's. *)
-val containment_violations : t -> (span * span) list
-
-(** Parents whose tile children do not exactly partition them (gap,
-    overlap, or mismatched extent), with a description.  Crash-
-    truncated parents are exempt. *)
-val tiling_violations : t -> (span * string) list
-
-(** Orphans, containment, tiling — first failure as [Error]. *)
+(** The forest's invariants, first failure as [Error]: every parent id
+    names a span, every child interval lies inside its parent's, and
+    tile children exactly partition their parent (no gap, overlap or
+    mismatched extent; crash-truncated parents and tasks still parked
+    when their engine stopped are exempt). *)
 val validate : t -> (unit, string) result
 
 (** All spans of one trace, chronological — the post-mortem bundle the
     SLO flight recorder dumps for a tripped job. *)
 val bundle : t -> trace:string -> span list
 
-(** One attributed interval of the cross-node critical-path walk. *)
-type cseg = { c_t0 : float; c_t1 : float; c_bucket : string; c_name : string; c_node : int }
+(** One attributed interval of the critical-path walk, charged to
+    span [c_span] (the DES task in a compile forest; -1 otherwise). *)
+type cseg = {
+  c_t0 : float;
+  c_t1 : float;
+  c_bucket : string;
+  c_name : string;
+  c_node : int;
+  c_span : int;
+}
 
 type crit = {
   c_end : float;  (** end-to-end virtual units, tiled exactly by [c_segs] *)
@@ -86,13 +99,27 @@ type crit = {
   c_critical_rpc : string;  (** longest on-path network fetch; [""] none *)
 }
 
-(** Cross-node critical path: walk backwards from the last-finishing
-    work span (job / task / assembly), recursing through tile children
-    and jumping to the latest-finishing predecessor at each span start
-    (gaps charged to ["sched-wait"], the head to ["arrival"]).  Buckets:
-    ["queue-wait"], ["network"], ["remote-cache"], ["compute"],
-    ["sched-wait"], ["arrival"].  The bucket totals sum to [c_end]
-    exactly by construction. *)
+(** Phase of a DES task class (paper Fig. 5 / §2.3.4): lex, split,
+    import, parse/sem, codegen, merge; anything else is startup. *)
+val phase_of_cls : string -> string
+
+(** Critical path; the bucket totals sum to [c_end] exactly by
+    construction.
+
+    A compile forest is walked backwards from the last-finishing DES
+    task along its cause edges: runs go to the task's phase, waits to
+    ["dky-block"], ["token-wait"], ["completion-wait"], ["event-wait"]
+    or ["recovery"] (jumping to the signaller when the signal fell
+    inside the wait), queues to ["queue:<class>"] (a first queue then
+    jumps to its gate signaller or spawner), backoffs to
+    ["recovery"], the head to ["startup"].
+
+    Serve and farm forests carry no cause edges: the walk starts at
+    the last-finishing work span (job / task / assembly), recurses
+    through tile children and jumps to the latest-finishing
+    predecessor at each span start (gaps charged to ["sched-wait"],
+    the head to ["arrival"]).  Buckets: ["queue-wait"], ["network"],
+    ["remote-cache"], ["compute"], ["sched-wait"], ["arrival"]. *)
 val critpath : t -> crit
 
 (** Sum of all attributed bucket units; equals [c_end] when complete. *)

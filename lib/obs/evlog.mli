@@ -6,8 +6,8 @@
     signal/block/wake, gated-task releases, task spawn/start/finish.
     The happens-before checker ([Mcc_analysis.Hb]) replays it to verify
     the DKY ordering invariants of paper §2.3.3 across perturbed
-    schedules; {!Span} and {!Critpath} reconstruct per-task timelines
-    and the end-to-end critical path from the same stream.
+    schedules; {!Dtrace.assemble} folds the same stream into the span
+    forest behind every timeline view.
 
     Capture is off by default; emission sites guard on {!enabled}
     before allocating a record, and no record charges [Eff.work], so
@@ -22,7 +22,10 @@ type kind =
       cls : string;  (** [Task.cls_name] of the spawned task *)
       gate : int;  (** gate event id, -1 ungated *)
     }
-  | Task_start of { task : int }
+  | Task_start of { task : int; proc : int  (** simulated processor *) }
+  | Task_resume of { task : int; proc : int }
+      (** a woken (handled-wait) task dispatched again onto [proc];
+          barrier waiters keep their processor and get no record *)
   | Task_finish of { task : int }
   | Ev_signal of { ev : int; name : string }
   | Ev_block of { ev : int; name : string; producer : int  (** expected signaler, -1 unknown *) }
@@ -140,6 +143,3 @@ val capture : (unit -> 'a) -> 'a * record array
     and the server's log records job lifecycle, not intra-compile
     scheduling. *)
 val suspend : (unit -> 'a) -> 'a
-
-val kind_to_string : kind -> string
-val record_to_string : record -> string

@@ -1,8 +1,8 @@
 (* The per-compilation telemetry report.
 
-   Combines the three telemetry views of one captured run — the span
-   decomposition, the critical-path attribution and the metrics
-   snapshot — into the renderable/exportable profile behind
+   Combines the two telemetry views of one captured run — its span
+   forest ([Dtrace], with the critical-path attribution walked over it)
+   and the metrics snapshot — into the renderable/exportable profile behind
    [m2c profile]: a per-phase virtual-time table whose rows tile the
    end-to-end time (so every percentage is a true bound on what fixing
    that bottleneck could save, the paper's §4 methodology), the top-k
@@ -18,28 +18,38 @@ type t = {
   p_strategy : string;
   p_seconds_per_unit : float;
   p_end : float; (* end-to-end virtual work units *)
-  p_tasks : int; (* tasks observed in the log *)
-  p_crit : Critpath.t;
+  p_tasks : int; (* DES task spans in the forest *)
+  p_crit : Dtrace.crit;
   p_phase_busy : (string * float) list; (* aggregate run units by class, all processors *)
   p_metrics : Metrics.snapshot;
 }
 
 let schema = "mcc-profile-v1"
 
-let make ~module_name ~procs ~strategy ~end_time ~seconds_per_unit ~metrics
-    (log : Evlog.record array) : t =
-  let spans = Span.of_log log in
-  let crit = Critpath.compute ~end_time log in
+let make ~module_name ~procs ~strategy ~seconds_per_unit ~metrics (forest : Dtrace.t) : t =
+  let busy = Hashtbl.create 16 in
+  let tasks = ref 0 in
+  List.iter
+    (fun (s : Dtrace.span) ->
+      match s.Dtrace.d_kind with
+      | "inner-task" ->
+          incr tasks;
+          if not (Hashtbl.mem busy s.Dtrace.d_cls) then Hashtbl.replace busy s.Dtrace.d_cls 0.0
+      | "run" ->
+          let v = Option.value ~default:0.0 (Hashtbl.find_opt busy s.Dtrace.d_cls) in
+          Hashtbl.replace busy s.Dtrace.d_cls (v +. Dtrace.duration s)
+      | _ -> ())
+    forest.Dtrace.spans;
   {
     p_module = module_name;
     p_procs = procs;
     p_strategy = strategy;
     p_seconds_per_unit = seconds_per_unit;
-    p_end = end_time;
-    p_tasks = List.length spans;
-    p_crit = crit;
+    p_end = forest.Dtrace.end_time;
+    p_tasks = !tasks;
+    p_crit = Dtrace.critpath forest;
     p_phase_busy =
-      List.map (fun (cls, units) -> (Critpath.phase_of_cls cls, cls, units)) (Span.busy_by_class spans)
+      Hashtbl.fold (fun cls units acc -> (Dtrace.phase_of_cls cls, cls, units) :: acc) busy []
       |> List.sort compare
       |> List.map (fun (_, cls, units) -> (cls, units));
     p_metrics = metrics;
@@ -48,7 +58,15 @@ let make ~module_name ~procs ~strategy ~end_time ~seconds_per_unit ~metrics
 (* The attribution table tiles [0, end]; assert the invariant within a
    rounding tolerance before trusting the shares. *)
 let tiles_end t =
-  Float.abs (Critpath.attributed_total t.p_crit -. t.p_end) <= 1e-3 *. Float.max 1.0 t.p_end
+  Float.abs (Dtrace.crit_total t.p_crit -. t.p_end) <= 1e-3 *. Float.max 1.0 t.p_end
+
+(* The [k] longest hops, longest first (stable on ties by start time). *)
+let longest t k =
+  List.stable_sort
+    (fun (a : Dtrace.cseg) (b : Dtrace.cseg) ->
+      compare (b.c_t1 -. b.c_t0, a.c_t0) (a.c_t1 -. a.c_t0, b.c_t0))
+    t.p_crit.Dtrace.c_segs
+  |> List.filteri (fun i _ -> i < k)
 
 let render ?(top = 5) t : string =
   let buf = Buffer.create 2048 in
@@ -63,8 +81,8 @@ let render ?(top = 5) t : string =
   List.iter
     (fun (bucket, units) ->
       say "  %-20s %14.0f %7.1f%%" bucket units (100.0 *. units /. Float.max 1e-9 t.p_end))
-    t.p_crit.Critpath.cp_buckets;
-  let total = Critpath.attributed_total t.p_crit in
+    t.p_crit.Dtrace.c_buckets;
+  let total = Dtrace.crit_total t.p_crit in
   say "  %-20s %14.0f %7.1f%%   %s" "total" total
     (100.0 *. total /. Float.max 1e-9 t.p_end)
     (if tiles_end t then "(= end-to-end)" else "(MISMATCH vs end-to-end)");
@@ -74,14 +92,13 @@ let render ?(top = 5) t : string =
     (fun (cls, units) -> say "  %-20s %14.0f" cls units)
     t.p_phase_busy;
   say "";
-  let hops = Critpath.top t.p_crit top in
+  let hops = longest t top in
   say "critical path: %d longest of %d hops:" (List.length hops)
-    (List.length t.p_crit.Critpath.cp_hops);
+    (List.length t.p_crit.Dtrace.c_segs);
   List.iter
-    (fun (h : Critpath.hop) ->
-      say "  [%10.0f .. %10.0f]  %-18s %-28s %10.0f units" h.Critpath.h_t0 h.Critpath.h_t1
-        h.Critpath.h_bucket h.Critpath.h_name
-        (h.Critpath.h_t1 -. h.Critpath.h_t0))
+    (fun (h : Dtrace.cseg) ->
+      say "  [%10.0f .. %10.0f]  %-18s %-28s %10.0f units" h.c_t0 h.c_t1 h.c_bucket h.c_name
+        (h.c_t1 -. h.c_t0))
     hops;
   Buffer.contents buf
 
@@ -135,20 +152,20 @@ let to_json_value t : Json.t =
                    ("units", Json.Float units);
                    ("share", Json.Float (units /. Float.max 1e-9 t.p_end));
                  ])
-             t.p_crit.Critpath.cp_buckets) );
+             t.p_crit.Dtrace.c_buckets) );
       ( "critical_path",
         Json.Arr
           (List.map
-             (fun (h : Critpath.hop) ->
+             (fun (h : Dtrace.cseg) ->
                Json.Obj
                  [
-                   ("t0", Json.Float h.Critpath.h_t0);
-                   ("t1", Json.Float h.Critpath.h_t1);
-                   ("task", Json.Int h.Critpath.h_task);
-                   ("name", Json.Str h.Critpath.h_name);
-                   ("bucket", Json.Str h.Critpath.h_bucket);
+                   ("t0", Json.Float h.c_t0);
+                   ("t1", Json.Float h.c_t1);
+                   ("task", Json.Int h.c_span);
+                   ("name", Json.Str h.c_name);
+                   ("bucket", Json.Str h.c_bucket);
                  ])
-             t.p_crit.Critpath.cp_hops) );
+             t.p_crit.Dtrace.c_segs) );
       ( "phase_busy",
         Json.Arr
           (List.map
@@ -177,7 +194,7 @@ let to_prometheus t : string =
              s_labels = [ ("bucket", bucket); ("module", t.p_module) ];
              s_value = Metrics.VGauge units;
            })
-         t.p_crit.Critpath.cp_buckets
+         t.p_crit.Dtrace.c_buckets
     @ List.map
         (fun (cls, units) ->
           {

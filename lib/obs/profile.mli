@@ -1,8 +1,8 @@
 (** The per-compilation telemetry report.
 
-    Combines the three telemetry views of one captured run — the span
-    decomposition, the critical-path attribution and the metrics
-    snapshot — into the renderable/exportable profile behind
+    Combines the two telemetry views of one captured run — its
+    {!Dtrace} span forest (with the critical-path attribution walked
+    over it) and the metrics snapshot — into the renderable/exportable profile behind
     [m2c profile]: a per-phase virtual-time table whose rows tile the
     end-to-end time (so every percentage is a true bound on what fixing
     that bottleneck could save, the paper's §4 methodology), the top-k
@@ -18,24 +18,26 @@ type t = {
   p_strategy : string;
   p_seconds_per_unit : float;
   p_end : float;  (** end-to-end virtual work units *)
-  p_tasks : int;  (** tasks observed in the log *)
-  p_crit : Critpath.t;
+  p_tasks : int;  (** DES task spans in the forest *)
+  p_crit : Dtrace.crit;
   p_phase_busy : (string * float) list;
-      (** aggregate run units by class, all processors *)
+      (** aggregate run units by class, all processors (WatchTool's
+          per-class run time) *)
   p_metrics : Metrics.snapshot;
 }
 
 (** The JSON export's schema tag, ["mcc-profile-v1"]. *)
 val schema : string
 
+(** Profile the forest {!Dtrace.assemble} folds from a captured
+    compile's log; its end time is the end-to-end time. *)
 val make :
   module_name:string ->
   procs:int ->
   strategy:string ->
-  end_time:float ->
   seconds_per_unit:float ->
   metrics:Metrics.snapshot ->
-  Evlog.record array ->
+  Dtrace.t ->
   t
 
 (** Whether the attribution table tiles [0, end] within a rounding

@@ -30,7 +30,6 @@ type outcome = Completed | Deadlocked of string list
 type result = {
   end_time : float; (* virtual work units *)
   end_seconds : float; (* end_time scaled by Costs.seconds_per_unit *)
-  trace : Trace.t;
   outcome : outcome;
   tasks_run : int;
   failures : (string * exn) list; (* task name, exception *)
@@ -48,15 +47,15 @@ type result = {
 
 type item =
   | Start of int * Task.t
+  | Resume of int * Task.t * Eff.resumption (* a woken task, dispatched again *)
   | Continue of int * Task.t * Eff.resumption
   | Complete of int * Task.t
 
 type state = {
   sup : Supervisor.t;
   agenda : item Heap.t;
-  trace : Trace.t;
   waiting : (int, (Task.t * Eff.resumption) list) Hashtbl.t;
-  barrier_waiting : (int, (int * float * Task.t * Eff.resumption) list) Hashtbl.t;
+  barrier_waiting : (int, (int * Task.t * Eff.resumption) list) Hashtbl.t;
   events_seen : (int, Event.t) Hashtbl.t;
       (* every event that crossed a block or signal site, by id — lets
          the watchdog and the deadlock report ask whether an id has
@@ -100,7 +99,7 @@ let schedule_entry st t p entry =
   let t' = t +. Costs.dispatch_cost in
   match entry with
   | Supervisor.Fresh task -> Heap.push st.agenda t' (Start (p, task))
-  | Supervisor.Resumed (task, k) -> Heap.push st.agenda t' (Continue (p, task, k))
+  | Supervisor.Resumed (task, k) -> Heap.push st.agenda t' (Resume (p, task, k))
 
 (* Give ready tasks to free processors at time [t]. *)
 let rec try_assign st t =
@@ -157,12 +156,10 @@ let do_signal st t (ev : Event.t) =
     | Some waiters ->
         Hashtbl.remove st.barrier_waiting ev.Event.id;
         List.iter
-          (fun (p, t_block, (task : Task.t), k) ->
+          (fun (p, (task : Task.t), k) ->
             st.barrier_count <- st.barrier_count - 1;
             if Evlog.enabled () then
               Evlog.emit (Evlog.Ev_wake { ev = ev.Event.id; task = task.Task.id });
-            Trace.add st.trace ~proc:p ~task_id:task.Task.id ~cls:task.Task.cls ~t0:t_block ~t1:t
-              ~kind:Trace.Waitbar;
             Heap.push st.agenda t (Continue (p, task, k)))
           waiters);
     try_assign st t
@@ -178,16 +175,12 @@ let rec handle_step st t p (task : Task.t) (step : Eff.step) =
         Metrics.observe ~labels:[ ("cls", Task.cls_name task.Task.cls) ] "mcc_task_run_units" dur;
         Metrics.gauge_max "mcc_sched_busy_procs_peak" (float_of_int (busy st))
       end;
-      Trace.add st.trace ~proc:p ~task_id:task.Task.id ~cls:task.Task.cls ~t0:t ~t1:(t +. dur)
-        ~kind:Trace.Run;
       Heap.push st.agenda (t +. dur) (Continue (p, task, k))
   | Eff.Finished residue ->
       if residue > 0 then begin
         let dur = scale st residue in
         if Metrics.enabled () then
           Metrics.observe ~labels:[ ("cls", Task.cls_name task.Task.cls) ] "mcc_task_run_units" dur;
-        Trace.add st.trace ~proc:p ~task_id:task.Task.id ~cls:task.Task.cls ~t0:t ~t1:(t +. dur)
-          ~kind:Trace.Run;
         Heap.push st.agenda (t +. dur) (Complete (p, task))
       end
       else finish_task st t p task
@@ -206,7 +199,7 @@ let rec handle_step st t p (task : Task.t) (step : Eff.step) =
         task.Task.state <- Task.Blocked;
         st.barrier_count <- st.barrier_count + 1;
         let l = Option.value ~default:[] (Hashtbl.find_opt st.barrier_waiting ev.Event.id) in
-        Hashtbl.replace st.barrier_waiting ev.Event.id ((p, t, task, k) :: l)
+        Hashtbl.replace st.barrier_waiting ev.Event.id ((p, task, k) :: l)
       end
       else begin
         if Evlog.enabled () then
@@ -324,8 +317,7 @@ let deadlock_report st =
     Hashtbl.fold
       (fun ev_id waiters acc ->
         List.map
-          (fun (_, _, (t : Task.t), _) ->
-            Printf.sprintf "%s barrier-waits on %s" t.name (ev_desc ev_id))
+          (fun (_, (t : Task.t), _) -> Printf.sprintf "%s barrier-waits on %s" t.name (ev_desc ev_id))
           waiters
         @ acc)
       st.barrier_waiting []
@@ -377,7 +369,7 @@ let watchdog_sweep st t =
       Hashtbl.remove st.barrier_waiting ev_id;
       st.watchdog_fires <- st.watchdog_fires + 1;
       List.iter
-        (fun (p, t_block, (task : Task.t), k) ->
+        (fun (p, (task : Task.t), k) ->
           recovered := true;
           st.barrier_count <- st.barrier_count - 1;
           st.recovered_wakes <- st.recovered_wakes + 1;
@@ -385,8 +377,6 @@ let watchdog_sweep st t =
             Evlog.emit (Evlog.Watchdog_fire { ev = ev_id; task = task.Task.id });
             Evlog.emit (Evlog.Ev_wake { ev = ev_id; task = task.Task.id })
           end;
-          Trace.add st.trace ~proc:p ~task_id:task.Task.id ~cls:task.Task.cls ~t0:t_block ~t1:t
-            ~kind:Trace.Waitbar;
           Heap.push st.agenda t (Continue (p, task, k)))
         waiters)
     (stale st.barrier_waiting);
@@ -399,7 +389,6 @@ let run ?(beta = Costs.bus_beta) ?(fifo = false) ?perturb ~procs tasks =
     {
       sup = Supervisor.create ~fifo ?perturb:(Option.map Prng.create perturb) ();
       agenda = Heap.create dummy_item;
-      trace = Trace.create ();
       waiting = Hashtbl.create 64;
       barrier_waiting = Hashtbl.create 64;
       events_seen = Hashtbl.create 64;
@@ -458,7 +447,10 @@ let run ?(beta = Costs.bus_beta) ?(fifo = false) ?perturb ~procs tasks =
                     ( "cls",
                       Task.cls_name
                         (match item with
-                        | Start (_, task) | Continue (_, task, _) | Complete (_, task) ->
+                        | Start (_, task)
+                        | Resume (_, task, _)
+                        | Continue (_, task, _)
+                        | Complete (_, task) ->
                             task.Task.cls) );
                   ]
                 "mcc_sched_dispatch_total";
@@ -468,13 +460,18 @@ let run ?(beta = Costs.bus_beta) ?(fifo = false) ?perturb ~procs tasks =
                 else begin
                   if logging then begin
                     Evlog.set_task task.Task.id;
-                    Evlog.emit (Evlog.Task_start { task = task.Task.id })
+                    Evlog.emit (Evlog.Task_start { task = task.Task.id; proc = p })
                   end;
                   task.Task.state <- Task.Running;
                   handle_step st t p task (Eff.start task.Task.body)
                 end
-            | Continue (p, task, k) ->
-                if logging then Evlog.set_task task.Task.id;
+            | Resume (p, task, k) | Continue (p, task, k) ->
+                if logging then begin
+                  Evlog.set_task task.Task.id;
+                  match item with
+                  | Resume _ -> Evlog.emit (Evlog.Task_resume { task = task.Task.id; proc = p })
+                  | _ -> ()
+                end;
                 if
                   Fault.armed ()
                   && Fault.crash ~name:task.Task.name ~cls:(Task.cls_name task.Task.cls)
@@ -511,11 +508,12 @@ let run ?(beta = Costs.bus_beta) ?(fifo = false) ?perturb ~procs tasks =
       in
       drive ();
       let stuck = deadlock_report st in
-      let end_time = max !last_t (Trace.horizon st.trace) in
+      (* every segment ends at an agenda item the loop popped, so the
+         last pop is the makespan *)
+      let end_time = !last_t in
       {
         end_time;
         end_seconds = Costs.to_seconds end_time;
-        trace = st.trace;
         outcome = (if stuck = [] then Completed else Deadlocked stuck);
         tasks_run = st.n_finished;
         failures = List.rev st.failures;

@@ -3,7 +3,9 @@
     Runs real compiler tasks on [procs] simulated processors, advancing a
     virtual clock from the work units the tasks charge — the stand-in
     for the paper's 8-CVax DEC Firefly.  Deterministic: ties break by
-    insertion order, so the same inputs give bit-identical traces.
+    insertion order, so the same inputs give bit-identical schedules
+    (and captured event logs, which {!Mcc_obs.Dtrace} folds into the
+    timeline views).
 
     Scheduling follows the Supervisors approach (paper §2.3.2): handled
     waits suspend the task and free the processor (preferring the
@@ -20,7 +22,6 @@ type outcome =
 type result = {
   end_time : float;  (** virtual work units *)
   end_seconds : float;  (** [end_time] scaled by {!Costs.seconds_per_unit} *)
-  trace : Trace.t;
   outcome : outcome;
   tasks_run : int;
   failures : (string * exn) list;  (** tasks that raised, with their exception *)

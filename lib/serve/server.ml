@@ -332,7 +332,6 @@ let serve ?(capture = false) ?(trace = false) ~cache cfg (jobs : Request.job lis
                       sub_t0 = !t /. Costs.seconds_per_unit;
                       sub_scale = 1.0;
                       sub_log = r.Driver.log;
-                      sub_names = r.Driver.task_index;
                     }
                     :: !subs
               | _ -> ());

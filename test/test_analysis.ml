@@ -33,9 +33,9 @@ let test_hb_clean_log () =
       [
         (0, Evlog.Task_spawn { task = 1; name = "producer"; cls = "aux"; gate = -1 });
         (0, Evlog.Task_spawn { task = 2; name = "consumer"; cls = "aux"; gate = -1 });
-        (1, Evlog.Task_start { task = 1 });
+        (1, Evlog.Task_start { task = 1; proc = 0 });
         (1, Evlog.Publish { scope = 5; scope_name = "M.def"; sym = "x" });
-        (2, Evlog.Task_start { task = 2 });
+        (2, Evlog.Task_start { task = 2; proc = 0 });
         (2, Evlog.Dky_block { scope = 5; scope_name = "M.def"; sym = "y"; ev = 9 });
         (2, Evlog.Ev_block { ev = 9; name = "M.def.complete"; producer = 1 });
         (1, Evlog.Complete { scope = 5; scope_name = "M.def" });
@@ -110,7 +110,7 @@ let test_hb_start_before_gate () =
     mk_log
       [
         (0, Evlog.Task_spawn { task = 3; name = "gated"; cls = "aux"; gate = 7 });
-        (3, Evlog.Task_start { task = 3 });
+        (3, Evlog.Task_start { task = 3; proc = 0 });
       ]
   in
   Alcotest.(check bool) "detected" true
@@ -121,7 +121,7 @@ let test_hb_start_before_gate () =
       [
         (0, Evlog.Task_spawn { task = 3; name = "gated"; cls = "aux"; gate = 7 });
         (1, Evlog.Ev_signal { ev = 7; name = "g" });
-        (3, Evlog.Task_start { task = 3 });
+        (3, Evlog.Task_start { task = 3; proc = 0 });
       ]
   in
   Alcotest.(check int) "gate respected" 0 (n_violations ok_log)
@@ -202,7 +202,7 @@ let test_driver_capture () =
   let store = Suite.program 0 in
   let r = Driver.compile ~capture:true store in
   Alcotest.(check bool) "compiles" true r.Driver.ok;
-  Alcotest.(check bool) "log captured" true (r.Driver.events_logged > 0);
+  Alcotest.(check bool) "log captured" true (Array.length r.Driver.log > 0);
   let hb = Hb.check r.Driver.log in
   if not (Hb.ok hb) then
     Alcotest.failf "violations in a real run: %s"
@@ -214,7 +214,7 @@ let test_capture_does_not_change_timing () =
   let store = Suite.program 0 in
   let plain = Driver.compile store in
   let captured = Driver.compile ~capture:true store in
-  Alcotest.(check bool) "default path logs nothing" true (plain.Driver.events_logged = 0);
+  Alcotest.(check bool) "default path logs nothing" true (plain.Driver.log = [||]);
   Alcotest.(check (float 0.0)) "same virtual end time"
     plain.Driver.sim.Des_engine.end_time captured.Driver.sim.Des_engine.end_time;
   Alcotest.(check string) "same object code"
@@ -277,18 +277,30 @@ let test_suite_seed () =
 (* --- Chrome trace export --- *)
 
 let test_trace_json () =
-  let store = Suite.program 0 in
-  let r = Driver.compile store in
-  let json = Mcc_analysis.Trace_json.export ~names:r.Driver.task_index r.Driver.sim.Des_engine.trace in
-  let contains needle =
-    let nl = String.length needle and hl = String.length json in
-    let rec go i = i + nl <= hl && (String.sub json i nl = needle || go (i + 1)) in
-    go 0
+  let export ?(config = Driver.default_config) store =
+    let r = Driver.compile ~config ~capture:true store in
+    Mcc_analysis.Trace_json.export_spans ~sec_per_unit:Mcc_sched.Costs.seconds_per_unit
+      (Mcc_obs.Dtrace.assemble r.Driver.log)
   in
+  let json = export (Suite.program 0) in
+  let contains needle = Tutil.contains ~sub:needle json in
+  (match Mcc_obs.Json.validate json with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "chrome export invalid: %s" e);
   Alcotest.(check bool) "traceEvents" true (contains "\"traceEvents\":[");
   Alcotest.(check bool) "complete events" true (contains "\"ph\":\"X\"");
   Alcotest.(check bool) "thread metadata" true (contains "\"thread_name\"");
-  Alcotest.(check bool) "task names resolved" true (contains "lexor:")
+  Alcotest.(check bool) "processor lane" true (contains "\"name\":\"proc 0\"");
+  Alcotest.(check bool) "task names resolved" true (contains "lexor:");
+  (* a fault plan's injections show as instants *)
+  let faulty =
+    export
+      ~config:
+        { Driver.default_config with Driver.faults = Mcc_sched.Fault.parse_list "task-crash@1" }
+      (Suite.program 0)
+  in
+  Alcotest.(check bool) "injection instant" true
+    (Tutil.contains ~sub:"\"name\":\"inject:task-crash\"" faulty)
 
 let () =
   Alcotest.run "analysis"

@@ -15,7 +15,7 @@ open Tutil
 open Mcc_core
 module Des = Mcc_sched.Des_engine
 module Symtab = Mcc_sem.Symtab
-module Trace = Mcc_sched.Trace
+module Dtrace = Mcc_obs.Dtrace
 
 let sample_src =
   modsrc
@@ -162,11 +162,13 @@ let test_erroneous_interface_replays_diags () =
 (* --- determinism: same seed + warm cache => identical trace --- *)
 
 (* Task ids vary across runs (global counter); the schedule is compared
-   by the engine-assigned (processor, class, interval, kind) segments. *)
-let normalize_trace (sim : Des.result) =
-  List.map
-    (fun (s : Trace.seg) -> (s.Trace.proc, s.Trace.cls, s.Trace.t0, s.Trace.t1, s.Trace.kind))
-    (Trace.segments sim.Des.trace)
+   by the forest's task segments: (processor, class, interval, kind). *)
+let normalize_trace (r : Driver.result) =
+  List.filter_map
+    (fun (s : Dtrace.span) ->
+      if List.mem s.Dtrace.d_kind [ "compile"; "inner-task" ] then None
+      else Some Dtrace.(s.d_proc, s.d_cls, s.d_t0, s.d_t1, s.d_kind))
+    (Dtrace.assemble r.Driver.log).Dtrace.spans
 
 let test_warm_runs_deterministic () =
   List.iter
@@ -174,13 +176,13 @@ let test_warm_runs_deterministic () =
       let config = config ~strategy ~procs:5 in
       let cache = Build_cache.create () in
       ignore (Driver.compile ~config ~cache (sample_store ()));
-      let w1 = Driver.compile ~config ~cache (sample_store ()) in
-      let w2 = Driver.compile ~config ~cache (sample_store ()) in
+      let w1 = Driver.compile ~config ~capture:true ~cache (sample_store ()) in
+      let w2 = Driver.compile ~config ~capture:true ~cache (sample_store ()) in
       let tag = Symtab.dky_name strategy in
       Alcotest.(check (float 0.0)) (tag ^ ": same end time") w1.Driver.sim.Des.end_time
         w2.Driver.sim.Des.end_time;
       Alcotest.(check bool) (tag ^ ": identical schedule") true
-        (normalize_trace w1.Driver.sim = normalize_trace w2.Driver.sim))
+        (normalize_trace w1 <> [] && normalize_trace w1 = normalize_trace w2))
     Symtab.all_concurrent
 
 (* --- Project: incremental whole-program builds --- *)

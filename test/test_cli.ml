@@ -1,6 +1,7 @@
 (* The m2c binary end to end: every malformed option exits nonzero and
-   names the offending value on stderr, and the help text of m2c and of
-   each subcommand renders without a cmdliner error. *)
+   names the offending value on stderr, the help text of m2c and of
+   each subcommand renders without a cmdliner error, and compile's view
+   flags are honoured (or warned about) on both engines. *)
 
 let m2c = "../bin/m2c.exe"
 
@@ -40,6 +41,27 @@ let test_help cmd () =
   Alcotest.(check int) "exit code" 0 code;
   if Tutil.contains ~sub:"cmdliner error" text then Alcotest.failf "m2c %s --help=plain:\n%s" cmd text
 
+(* (arguments, texts the output must contain) *)
+let views =
+  [
+    ( "domains --stats",
+      [ "compile"; "--synth"; "1"; "--domains"; "2"; "--stats" ],
+      [ "compiled on 2 domains"; "Simple Identifier" ] );
+    ( "domains --watch --dump-tasks",
+      [ "compile"; "--synth"; "1"; "--domains"; "2"; "--watch"; "--dump-tasks" ],
+      [ "--watch only applies to the simulator"; "--dump-tasks only applies to the simulator" ] );
+    ("watch", [ "compile"; "--synth"; "1"; "--procs"; "2"; "--watch" ], [ "P1 |"; "utilization" ]);
+  ]
+
+let test_view (_, args, needles) () =
+  let code, text = run args in
+  Alcotest.(check int) "exit code" 0 code;
+  List.iter
+    (fun needle ->
+      if not (Tutil.contains ~sub:needle text) then
+        Alcotest.failf "m2c %s: %S not in the output:\n%s" (String.concat " " args) needle text)
+    needles
+
 let () =
   Alcotest.run "cli"
     [
@@ -54,4 +76,7 @@ let () =
         List.map
           (fun cmd -> Alcotest.test_case (if cmd = "" then "m2c" else cmd) `Quick (test_help cmd))
           subcommands );
+      ( "compile views",
+        List.map (fun ((name, _, _) as case) -> Alcotest.test_case name `Quick (test_view case)) views
+      );
     ]

@@ -8,6 +8,11 @@ let mk ?gate ?(cls = Task.Aux) ?(size_hint = 0) name body =
 
 let run ?(procs = 2) tasks = Des_engine.run ~procs tasks
 
+(* Run with the event log captured and folded into its span forest. *)
+let run_traced ?(procs = 2) tasks =
+  let r, log = Mcc_obs.Evlog.capture (fun () -> run ~procs tasks) in
+  (r, Mcc_obs.Dtrace.assemble log)
+
 let completed (r : Des_engine.result) =
   match r.Des_engine.outcome with Des_engine.Completed -> true | _ -> false
 
@@ -52,11 +57,19 @@ let test_determinism () =
       mk "c" (fun () -> Eff.work 5000);
     ]
   in
-  let r1 = run ~procs:2 (build ()) in
-  let r2 = run ~procs:2 (build ()) in
+  let r1, f1 = run_traced ~procs:2 (build ()) in
+  let r2, f2 = run_traced ~procs:2 (build ()) in
   Alcotest.(check (float 0.0)) "same end time" r1.Des_engine.end_time r2.Des_engine.end_time;
-  Alcotest.(check int) "same trace size" (Trace.n_segments r1.Des_engine.trace)
-    (Trace.n_segments r2.Des_engine.trace)
+  Alcotest.(check int) "same forest size" (List.length f1.Mcc_obs.Dtrace.spans)
+    (List.length f2.Mcc_obs.Dtrace.spans);
+  (* task ids come from a global counter; compare the id-free timeline *)
+  let timeline (f : Mcc_obs.Dtrace.t) =
+    List.map
+      (fun (s : Mcc_obs.Dtrace.span) ->
+        Mcc_obs.Dtrace.(s.d_kind, s.d_name, s.d_proc, s.d_t0, s.d_t1))
+      f.Mcc_obs.Dtrace.spans
+  in
+  Alcotest.(check bool) "same timeline" true (timeline f1 = timeline f2)
 
 (* --- events --- *)
 
@@ -107,17 +120,12 @@ let test_barrier_holds_processor () =
             Eff.work 10);
       ]
   in
-  Alcotest.(check bool) "barrier compilation completes" true (completed r);
-  (* the barrier wait appears in the trace *)
-  let has_wait =
-    List.exists (fun s -> s.Trace.kind = Trace.Waitbar) (Trace.segments r.Des_engine.trace)
-  in
-  ignore has_wait
+  Alcotest.(check bool) "barrier compilation completes" true (completed r)
 
 let test_barrier_wait_traced () =
   let ev = Event.create ~kind:Event.Barrier "b" in
-  let r =
-    run ~procs:2
+  let _, forest =
+    run_traced ~procs:2
       [
         mk "consumer" (fun () -> Eff.wait ev);
         mk "producer" (fun () ->
@@ -126,9 +134,12 @@ let test_barrier_wait_traced () =
       ]
   in
   let has_wait =
-    List.exists (fun s -> s.Trace.kind = Trace.Waitbar) (Trace.segments r.Des_engine.trace)
+    List.exists
+      (fun (s : Mcc_obs.Dtrace.span) ->
+        s.Mcc_obs.Dtrace.d_kind = "barrier-wait" && s.Mcc_obs.Dtrace.d_proc >= 0)
+      forest.Mcc_obs.Dtrace.spans
   in
-  Alcotest.(check bool) "barrier wait recorded in trace" true has_wait
+  Alcotest.(check bool) "barrier wait recorded on its processor" true has_wait
 
 let test_avoided_event_gates () =
   let gate = Event.create ~kind:Event.Avoided "g" in
