@@ -754,16 +754,7 @@ let speedup_artifacts () =
   (* critical-path profile of the best-case program on 8 processors *)
   artifact "BENCH_critpath.json" "mcc-bench-critpath-v1" (fun _ ->
       let store = Suite.synth_best () in
-      let c = Driver.compile ~config:Driver.default_config ~capture:true ~telemetry:true store in
-      let profile =
-        Mcc_obs.Profile.make
-          ~module_name:(Source_store.main_name store)
-          ~procs:Driver.default_config.Driver.procs
-          ~strategy:(Mcc_sem.Symtab.dky_name Driver.default_config.Driver.strategy)
-          ~seconds_per_unit:Mcc_sched.Costs.seconds_per_unit
-          ~metrics:(Option.value ~default:[] c.Driver.telemetry)
-          (Mcc_obs.Dtrace.assemble c.Driver.log)
-      in
+      let profile = Driver.profile store (Driver.compile ~capture:true store) in
       if not (Mcc_obs.Profile.tiles_end profile) then
         fail "critical-path attribution does not sum to the end-to-end time";
       [ ("profile", Mcc_obs.Profile.to_json_value profile) ]);
@@ -1457,7 +1448,9 @@ let zoo_bench () =
   in
   (* --- corpus -------------------------------------------------------- *)
   let corpus_dir =
-    match List.find_opt Sys.is_directory [ "corpus"; "../corpus" ] with
+    match
+      List.find_opt (fun d -> Sys.file_exists d && Sys.is_directory d) [ "corpus"; "../corpus" ]
+    with
     | Some d -> d
     | None -> fail "corpus/ not found from %s" (Sys.getcwd ())
   in

@@ -504,20 +504,12 @@ let profile_cmd =
   in
   let run store (config : Driver.config) top prom json cache_dir =
     let cache = Option.map (fun dir -> Build_cache.create ~dir ()) cache_dir in
-    (* profiling implies both the event log and the metrics registry *)
-    let r = Driver.compile ~config ~capture:true ~telemetry:true ?cache store in
+    let r = Driver.compile ~config ~capture:true ?cache store in
     report_diags r.Driver.diags;
     finish_cache cache;
     if not r.Driver.ok then `Error (false, "compilation failed")
     else begin
-      let p =
-        Mcc_obs.Profile.make
-          ~module_name:(Source_store.main_name store)
-          ~procs:config.Driver.procs ~strategy:(Symtab.dky_name config.Driver.strategy)
-          ~seconds_per_unit:Mcc_sched.Costs.seconds_per_unit
-          ~metrics:(Option.value ~default:[] r.Driver.telemetry)
-          (Mcc_obs.Dtrace.assemble r.Driver.log)
-      in
+      let p = Driver.profile ~config store r in
       print_string (Mcc_obs.Profile.render ~top p);
       let* () = export "json" json (Mcc_obs.Profile.to_json p) Mcc_obs.Json.validate in
       let* () =

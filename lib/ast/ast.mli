@@ -108,7 +108,7 @@ type decl = DConst of ident * expr | DType of ident * type_expr | DVar of ident 
 
 type import = ImportModules of ident list | ImportFrom of ident * ident list
 
-(** {1 Metrics and equality} *)
+(** {1 Size and equality} *)
 
 (** Statement-tree size: drives the long-before-short ordering of
     code-generation tasks (paper §2.3.4). *)

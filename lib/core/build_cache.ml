@@ -31,13 +31,13 @@
 
 open Mcc_m2
 open Mcc_sched
-module Metrics = Mcc_obs.Metrics
 module Evlog = Mcc_obs.Evlog
 
-(* v3: Driver.result (persisted inside module-memo entries) grew the
-   cache-eviction counter.  v2 added per-declaration slice digests and
-   the stable install/shape digests fine-grained invalidation compares. *)
-let version = "mcc-artifact-v3"
+(* v4: Driver.result (persisted inside module-memo entries) lost its
+   metrics-snapshot field.  v3 grew the cache-eviction counter.  v2
+   added per-declaration slice digests and the stable install/shape
+   digests fine-grained invalidation compares. *)
+let version = "mcc-artifact-v4"
 
 (* ------------------------------------------------------------------ *)
 (* Charge-free import scan *)
@@ -163,11 +163,6 @@ type t = {
   mutable corrupt : int; (* artifacts dropped by digest verification *)
 }
 
-(* An artifact's charge against the size bound is its marshaled size —
-   the same bytes [save] would write for it, so the bound models a
-   persistent store of that many bytes. *)
-let artifact_size (a : Artifact.t) = String.length (Marshal.to_string a [])
-
 (* All four must run under [t.mu]. *)
 
 let touch t fp =
@@ -183,7 +178,10 @@ let forget_sizes t fp =
 
 let record_size t fp a =
   forget_sizes t fp;
-  let sz = artifact_size a in
+  (* the charge against the size bound is the artifact's wire size: its
+     marshaled size with type uids counted as 0, so the bound does not
+     depend on how many types the process allocated before *)
+  let sz = Artifact.wire_size a in
   Hashtbl.replace t.sizes fp sz;
   t.bytes <- t.bytes + sz;
   touch t fp
@@ -221,7 +219,6 @@ let enforce_cap t ~keep =
             Hashtbl.remove t.defs fp;
             forget_sizes t fp;
             t.evictions <- t.evictions + 1;
-            if Metrics.enabled () then Metrics.incr "mcc_cache_evict_total";
             continue_ := t.bytes > cap
       done
 
@@ -384,7 +381,6 @@ let tamper t ~name =
    and the probe reports a miss — the caller rebuilds the interface from
    source and re-stores it, healing the cache. *)
 let find_interface t ~fp =
-  if Metrics.enabled () then Metrics.incr "mcc_cache_probe_total";
   Mutex.lock t.mu;
   let r =
     match Hashtbl.find_opt t.defs fp with
@@ -399,7 +395,6 @@ let find_interface t ~fp =
             Evlog.emit
               (Evlog.Fault_inject { fault = "corrupt-artifact"; victim = a.Artifact.a_name });
           t.corrupt <- t.corrupt + 1;
-          if Metrics.enabled () then Metrics.incr "mcc_cache_corrupt_total";
           t.invalidations <- t.invalidations + 1;
           Hashtbl.remove t.defs fp;
           forget_sizes t fp;
@@ -415,12 +410,9 @@ let find_interface t ~fp =
   in
   (match r with None -> t.misses <- t.misses + 1 | Some _ -> t.hits <- t.hits + 1);
   Mutex.unlock t.mu;
-  if Metrics.enabled () then
-    Metrics.incr (match r with None -> "mcc_cache_miss_total" | Some _ -> "mcc_cache_hit_total");
   r
 
 let store_interface t (a : Artifact.t) =
-  if Metrics.enabled () then Metrics.incr "mcc_cache_store_total";
   Mutex.lock t.mu;
   (match Hashtbl.find_opt t.latest a.Artifact.a_name with
   | Some old_fp when old_fp <> a.Artifact.a_fingerprint ->
@@ -550,7 +542,6 @@ let memo_enforce_cap m ~keep =
               (fun n k -> if k = key then Hashtbl.remove m.latest_key n)
               (Hashtbl.copy m.latest_key);
             m.mevictions <- m.mevictions + 1;
-            if Metrics.enabled () then Metrics.incr "mcc_memo_evict_total";
             continue_ := Hashtbl.length m.modules > cap
       done
 

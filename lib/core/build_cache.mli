@@ -24,8 +24,8 @@ type t
     previously {!save}d interface artifacts are loaded from it (missing,
     stale or unreadable files are ignored) and the type-uid counter is
     bumped past every unmarshalled uid.  With [cap_bytes], the store is
-    size-bounded: whenever the marshaled sizes of the stored artifacts
-    exceed the bound, least-recently-used entries are evicted (counted
+    size-bounded: whenever the wire sizes ({!Artifact.wire_size}) of
+    the stored artifacts exceed the bound, least-recently-used entries are evicted (counted
     by {!eviction_count}, never counted as invalidations) — except the
     entry just stored, so one oversized artifact still caches. *)
 val create : ?dir:string -> ?cap_bytes:int -> unit -> t
@@ -79,7 +79,9 @@ val counters : t -> int * int * int
     not invalidations, not corruption). *)
 val eviction_count : t -> int
 
-(** Current marshaled size of the interface store, in bytes. *)
+(** Current size of the interface store, in bytes: the sum of its
+    artifacts' {!Artifact.wire_size}s, independent of what the process
+    compiled before. *)
 val total_bytes : t -> int
 
 (** Artifacts dropped by digest verification (on {!find_interface}

@@ -23,7 +23,6 @@ open Mcc_sem
 open Mcc_codegen
 module P = Mcc_parse.Parser
 module A = Mcc_ast.Ast
-module Metrics = Mcc_obs.Metrics
 module Evlog = Mcc_obs.Evlog
 
 type heading_mode = Alt1 | Alt3
@@ -105,7 +104,6 @@ type result = {
          fine-grained dependency record Project's slice-level
          invalidation keys on; sorted, deterministic *)
   log : Evlog.record array; (* captured event log ([||] unless ~capture:true) *)
-  telemetry : Metrics.snapshot option; (* metrics registry dump (None unless ~telemetry:true) *)
   perturb_seed : int option; (* the config's exploration seed, echoed back *)
   robustness : robustness;
   deadlock : string list;
@@ -169,9 +167,7 @@ let record_task comp (task : Task.t) =
   Mutex.lock comp.tasks_mu;
   comp.n_tasks <- comp.n_tasks + 1;
   comp.task_names <- (Task.cls_name task.Task.cls, task.Task.name) :: comp.task_names;
-  Mutex.unlock comp.tasks_mu;
-  if Metrics.enabled () then
-    Metrics.incr ~labels:[ ("cls", Task.cls_name task.Task.cls) ] "mcc_tasks_total"
+  Mutex.unlock comp.tasks_mu
 
 let spawn comp task =
   record_task comp task;
@@ -209,9 +205,7 @@ let is_missing comp name =
 let count_tokens comp q =
   Mutex.lock comp.tasks_mu;
   comp.total_tokens <- comp.total_tokens + Tokq.total_tokens q;
-  Mutex.unlock comp.tasks_mu;
-  if Metrics.enabled () then
-    Metrics.count "mcc_tokens_total" (float_of_int (Tokq.total_tokens q))
+  Mutex.unlock comp.tasks_mu
 
 (* ------------------------------------------------------------------ *)
 (* Definition-module streams *)
@@ -562,10 +556,10 @@ let finish_program comp ~entry =
 
 (* Compile on the deterministic simulated multiprocessor.  [~capture]
    records the structured concurrency event log (see Mcc_obs.Evlog) for
-   the happens-before analyzer; [~telemetry] accumulates the
-   virtual-time metrics registry over the run.  The default path does no
-   logging or metrics work, and neither option perturbs virtual time. *)
-let compile ?(config = default_config) ?(capture = false) ?(telemetry = false) ?cache
+   the happens-before analyzer and every timeline view.  The default
+   path does no logging work, and capture does not perturb virtual
+   time. *)
+let compile ?(config = default_config) ?(capture = false) ?cache
     (store : Source_store.t) : result =
   let m = Source_store.main_name store in
   let comp, init_tasks = prepare config cache store in
@@ -581,13 +575,7 @@ let compile ?(config = default_config) ?(capture = false) ?(telemetry = false) ?
     if config.faults = [] then run ()
     else Fault.with_plan (Fault.plan ~seed:config.fault_seed config.faults) run
   in
-  let run_logged () = if capture then Evlog.capture run else (run (), [||]) in
-  let (sim, log), telem =
-    if telemetry then
-      let sim_log, snap = Metrics.with_registry run_logged in
-      (sim_log, Some snap)
-    else (run_logged (), None)
-  in
+  let sim, log = if capture then Evlog.capture run else (run (), [||]) in
   (* Partition task failures: injected ones are the fault plan's doing
      and are recovered from (contained, or repaired below); real
      exceptions keep their compiler-bug diagnostics. *)
@@ -661,7 +649,6 @@ let compile ?(config = default_config) ?(capture = false) ?(telemetry = false) ?
       (match cache with Some c -> Build_cache.eviction_count c - evict0 | None -> 0);
     used_slices = Lookup_stats.used_slices comp.stats;
     log;
-    telemetry = telem;
     perturb_seed = config.perturb;
     robustness;
     deadlock =
@@ -669,6 +656,23 @@ let compile ?(config = default_config) ?(capture = false) ?(telemetry = false) ?
       | Des_engine.Deadlocked stuck -> stuck
       | Des_engine.Completed -> []);
   }
+
+(* The telemetry profile of a compile run with [~capture:true] under
+   [config]: everything is folded from its log and its own counts. *)
+let profile ?(config = default_config) (store : Source_store.t) (r : result) : Mcc_obs.Profile.t =
+  Mcc_obs.Profile.make ~module_name:(Source_store.main_name store) ~procs:config.procs
+    ~strategy:(Symtab.dky_name config.strategy) ~seconds_per_unit:Costs.seconds_per_unit
+    ~counts:
+      {
+        Mcc_obs.Profile.tokens = r.tokens;
+        task_classes = List.map fst r.task_list;
+        symtab_probes = Lookup_stats.total_probes r.stats;
+        cache_hits = List.length r.cache_hits;
+        cache_misses = List.length r.cache_misses;
+        cache_evictions = r.cache_evictions;
+        corrupt_rebuilds = r.robustness.r_corrupt_rebuilds;
+      }
+    r.log
 
 (* Render the instantiated task structure (the realization of the
    paper's Figure 5 for this compilation), grouped by task class in

@@ -82,9 +82,6 @@ type result = {
   log : Mcc_obs.Evlog.record array;
       (** the structured concurrency event log ([[||]] unless compiled
           with [~capture:true]) *)
-  telemetry : Mcc_obs.Metrics.snapshot option;
-      (** the virtual-time metrics registry dump ([None] unless compiled
-          with [~telemetry:true]) *)
   perturb_seed : int option;  (** the config's exploration seed, echoed back *)
   robustness : robustness;
   deadlock : string list;
@@ -114,18 +111,19 @@ val long_threshold : int
     permanent faults degrade gracefully — a lost stream triggers a
     whole-program sequential recompile, an unreadable source a precise
     diagnostic — and are never a hang or an uncaught exception.  What
-    happened is reported in [result.robustness] and [result.deadlock].
-
-    [~telemetry:true] additionally runs the compilation under a fresh
-    {!Mcc_obs.Metrics} registry and returns its deterministic snapshot
-    in [result.telemetry]; like capture, metrics never charge work. *)
+    happened is reported in [result.robustness] and [result.deadlock]. *)
 val compile :
   ?config:config ->
   ?capture:bool ->
-  ?telemetry:bool ->
   ?cache:Build_cache.t ->
   Source_store.t ->
   result
+
+(** The telemetry profile ({!Mcc_obs.Profile}) of [result], a compile
+    of [store] under [config] (default {!default_config}) with
+    [~capture:true]: the critical-path table and every [mcc_*] series
+    are folded from its event log and its own counts. *)
+val profile : ?config:config -> Source_store.t -> result -> Mcc_obs.Profile.t
 
 (** Render the instantiated task structure (the realization of Fig. 5
     for this compilation), grouped by class in priority order. *)

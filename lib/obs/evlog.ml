@@ -12,8 +12,8 @@
    The log lives here, at the bottom of the dependency stack, so that
    the scheduler ([Mcc_sched.Des_engine], [Mcc_sched.Supervisor]), the
    symbol tables ([Mcc_sem.Symtab], [Mcc_sem.Modreg]) and the telemetry
-   consumers in this library can all reach it without a dependency
-   cycle.
+   consumers in this library ([Dtrace] and [Profile], which count every
+   mcc_* series from it) can all reach it without a dependency cycle.
 
    Every record carries the virtual time at which it was appended: the
    engine stamps the clock with [set_time] at each agenda dispatch, and

@@ -1,10 +1,11 @@
 (** A minimal deterministic JSON builder and syntax checker.
 
-    The telemetry exporters need (a) byte-stable output — two runs with
-    the same seed/config must serialize identically, so field order is
-    the construction order and float formatting is fixed — and (b) a
-    way for the CLI / bench / CI to assert that what they wrote is
-    well-formed without adding a dependency the container doesn't have.
+    The profile, trace and bench exporters need (a) byte-stable
+    output — two runs with the same seed/config must serialize
+    identically, so field order is the construction order and float
+    formatting is fixed — and (b) a way for the CLI / bench / CI to
+    assert that what they wrote is well-formed without adding a
+    dependency the container doesn't have.
     {!validate} is a complete JSON {e syntax} validator, not a schema
     language; schema-level checks (required fields, sum invariants)
     live with the producers. *)

@@ -1,14 +1,20 @@
 (* Prometheus text exposition format.
 
-   Renders a [Metrics] snapshot (plus any synthetic samples a report
-   adds) as the Prometheus text format, one # TYPE header per metric
-   name and histograms expanded into cumulative _bucket/_sum/_count
-   series.  The snapshot is already sorted by (name, labels), so the
-   output is byte-deterministic.
+   Renders a list of samples as the Prometheus text format, one # TYPE
+   header per metric name and histograms expanded into cumulative
+   _bucket/_sum/_count series.  Callers pass the samples sorted by
+   (name, labels), so the output is byte-deterministic.
 
    [validate] is a line-level checker for the same grammar — enough for
    the CLI and CI to assert that an export would be accepted by a
    Prometheus scraper, without a client library dependency. *)
+
+type value =
+  | VCounter of float
+  | VGauge of float
+  | VHistogram of { h_bounds : float array; h_counts : int array; h_sum : float; h_count : int }
+
+type sample = { s_name : string; s_labels : (string * string) list; s_value : value }
 
 let escape_label v =
   let buf = Buffer.create (String.length v + 8) in
@@ -33,7 +39,7 @@ let labels_str = function
       ^ String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (escape_label v)) labels)
       ^ "}"
 
-let render (snap : Metrics.snapshot) : string =
+let render (samples : sample list) : string =
   let buf = Buffer.create 2048 in
   let last_type = ref "" in
   let type_line name kind =
@@ -43,16 +49,16 @@ let render (snap : Metrics.snapshot) : string =
     end
   in
   List.iter
-    (fun (s : Metrics.sample) ->
-      let name = s.Metrics.s_name and labels = s.Metrics.s_labels in
-      match s.Metrics.s_value with
-      | Metrics.VCounter v ->
+    (fun s ->
+      let name = s.s_name and labels = s.s_labels in
+      match s.s_value with
+      | VCounter v ->
           type_line name "counter";
           Buffer.add_string buf (Printf.sprintf "%s%s %s\n" name (labels_str labels) (num v))
-      | Metrics.VGauge v ->
+      | VGauge v ->
           type_line name "gauge";
           Buffer.add_string buf (Printf.sprintf "%s%s %s\n" name (labels_str labels) (num v))
-      | Metrics.VHistogram { h_bounds; h_counts; h_sum; h_count } ->
+      | VHistogram { h_bounds; h_counts; h_sum; h_count } ->
           type_line name "histogram";
           let cum = ref 0 in
           Array.iteri
@@ -67,7 +73,7 @@ let render (snap : Metrics.snapshot) : string =
             (Printf.sprintf "%s_bucket%s %d\n" name (labels_str (labels @ [ ("le", "+Inf") ])) h_count);
           Buffer.add_string buf (Printf.sprintf "%s_sum%s %s\n" name (labels_str labels) (num h_sum));
           Buffer.add_string buf (Printf.sprintf "%s_count%s %d\n" name (labels_str labels) h_count))
-    snap;
+    samples;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

@@ -22,7 +22,6 @@
    saturation (paper §4.1). *)
 
 open Mcc_util
-module Metrics = Mcc_obs.Metrics
 module Evlog = Mcc_obs.Evlog
 
 type outcome = Completed | Deadlocked of string list
@@ -126,7 +125,6 @@ let do_signal st t (ev : Event.t) =
     ev.Event.signal_time <- t;
     Hashtbl.replace st.events_seen ev.Event.id ev;
     if Evlog.enabled () then Evlog.emit (Evlog.Ev_signal { ev = ev.Event.id; name = ev.Event.name });
-    if Metrics.enabled () then Metrics.incr "mcc_sched_signal_total";
     (* release tasks gated on this avoided event *)
     Supervisor.on_event st.sup ev;
     (* injected dropped wake: the signal lands (the event is marked, the
@@ -146,7 +144,6 @@ let do_signal st t (ev : Event.t) =
             st.n_blocked <- st.n_blocked - 1;
             if Evlog.enabled () then
               Evlog.emit (Evlog.Ev_wake { ev = ev.Event.id; task = task.Task.id });
-            if Metrics.enabled () then Metrics.incr "mcc_sched_wake_total";
             Supervisor.resume st.sup task k)
           waiters
     | Some _ -> ());
@@ -171,16 +168,10 @@ let rec handle_step st t p (task : Task.t) (step : Eff.step) =
   match step with
   | Eff.Worked (c, k) ->
       let dur = scale st c in
-      if Metrics.enabled () then begin
-        Metrics.observe ~labels:[ ("cls", Task.cls_name task.Task.cls) ] "mcc_task_run_units" dur;
-        Metrics.gauge_max "mcc_sched_busy_procs_peak" (float_of_int (busy st))
-      end;
       Heap.push st.agenda (t +. dur) (Continue (p, task, k))
   | Eff.Finished residue ->
       if residue > 0 then begin
         let dur = scale st residue in
-        if Metrics.enabled () then
-          Metrics.observe ~labels:[ ("cls", Task.cls_name task.Task.cls) ] "mcc_task_run_units" dur;
         Heap.push st.agenda (t +. dur) (Complete (p, task))
       end
       else finish_task st t p task
@@ -194,8 +185,6 @@ let rec handle_step st t p (task : Task.t) (step : Eff.step) =
         if Evlog.enabled () then
           Evlog.emit
             (Evlog.Ev_block { ev = ev.Event.id; name = ev.Event.name; producer = ev.Event.producer });
-        if Metrics.enabled () then
-          Metrics.incr ~labels:[ ("kind", "barrier") ] "mcc_sched_block_total";
         task.Task.state <- Task.Blocked;
         st.barrier_count <- st.barrier_count + 1;
         let l = Option.value ~default:[] (Hashtbl.find_opt st.barrier_waiting ev.Event.id) in
@@ -205,8 +194,6 @@ let rec handle_step st t p (task : Task.t) (step : Eff.step) =
         if Evlog.enabled () then
           Evlog.emit
             (Evlog.Ev_block { ev = ev.Event.id; name = ev.Event.name; producer = ev.Event.producer });
-        if Metrics.enabled () then
-          Metrics.incr ~labels:[ ("kind", "handled") ] "mcc_sched_block_total";
         task.Task.state <- Task.Blocked;
         st.n_blocked <- st.n_blocked + 1;
         st.handled_blocks <- st.handled_blocks + 1;
@@ -235,8 +222,6 @@ let rec handle_step st t p (task : Task.t) (step : Eff.step) =
 
 and finish_task st t p (task : Task.t) =
   if Evlog.enabled () then Evlog.emit (Evlog.Task_finish { task = task.Task.id });
-  if Metrics.enabled () then
-    Metrics.incr ~labels:[ ("cls", Task.cls_name task.Task.cls) ] "mcc_task_finish_total";
   task.Task.state <- Task.Done;
   st.n_finished <- st.n_finished + 1;
   release_proc st t p
@@ -248,7 +233,6 @@ and finish_task st t p (task : Task.t) =
 let quarantine st t p (task : Task.t) =
   if Evlog.enabled () then
     Evlog.emit (Evlog.Task_quarantine { task = task.Task.id; name = task.Task.name });
-  if Metrics.enabled () then Metrics.incr "mcc_fault_quarantine_total";
   st.quarantined <- task.Task.name :: st.quarantined;
   st.failures <- (task.Task.name, Fault.Injected task.Task.name) :: st.failures;
   finish_task st t p task
@@ -272,7 +256,6 @@ let inject_at_start st t p (task : Task.t) =
       if n <= Costs.retry_limit then begin
         st.retries <- st.retries + 1;
         if Evlog.enabled () then Evlog.emit (Evlog.Task_retry { task = task.Task.id; attempt = n });
-        if Metrics.enabled () then Metrics.incr "mcc_fault_retry_total";
         Heap.push st.agenda (t +. float_of_int Costs.retry_backoff) (Start (p, task))
       end
       else quarantine st t p task;
@@ -281,7 +264,6 @@ let inject_at_start st t p (task : Task.t) =
     else if count st.stalled < Costs.retry_limit && Fault.stall ~name ~cls then begin
       if Evlog.enabled () then Evlog.emit (Evlog.Fault_inject { fault = "stall"; victim = name });
       Hashtbl.replace st.stalled task.Task.id (1 + count st.stalled);
-      if Metrics.enabled () then Metrics.incr "mcc_fault_stall_total";
       st.stalls <- st.stalls + 1;
       Heap.push st.agenda (t +. float_of_int Costs.stall_penalty) (Start (p, task));
       true
@@ -337,7 +319,6 @@ let deadlock_report st =
    and let the run continue.  Returns true if anything was recovered. *)
 let watchdog_sweep st t =
   if Evlog.enabled () then Evlog.set_time t;
-  if Metrics.enabled () then Metrics.incr "mcc_watchdog_sweep_total";
   let stale tbl =
     Hashtbl.fold
       (fun ev_id waiters acc ->
@@ -440,20 +421,6 @@ let run ?(beta = Costs.bus_beta) ?(fifo = false) ?perturb ~procs tasks =
         | Some (t, item) ->
             last_t := t;
             if logging then Evlog.set_time t;
-            if Metrics.enabled () then
-              Metrics.incr
-                ~labels:
-                  [
-                    ( "cls",
-                      Task.cls_name
-                        (match item with
-                        | Start (_, task)
-                        | Resume (_, task, _)
-                        | Continue (_, task, _)
-                        | Complete (_, task) ->
-                            task.Task.cls) );
-                  ]
-                "mcc_sched_dispatch_total";
             (match item with
             | Start (p, task) ->
                 if inject_at_start st t p task then ()

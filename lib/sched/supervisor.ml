@@ -18,7 +18,6 @@
    mutex. *)
 
 open Mcc_util
-module Metrics = Mcc_obs.Metrics
 module Evlog = Mcc_obs.Evlog
 
 type entry = Fresh of Task.t | Resumed of Task.t * Eff.resumption
@@ -117,10 +116,6 @@ let enqueue_ready t entry =
    is parked; otherwise it becomes ready. *)
 let submit t task =
   t.submitted <- t.submitted + 1;
-  if Metrics.enabled () then begin
-    Metrics.incr ~labels:[ ("cls", Task.cls_name task.Task.cls) ] "mcc_sup_submit_total";
-    Metrics.gauge_max "mcc_sup_ready_peak" (float_of_int (t.n_ready + 1))
-  end;
   match task.Task.gate with
   | Some ev when not (Event.occurred ev) ->
       let parked = Option.value ~default:[] (Hashtbl.find_opt t.gated ev.Event.id) in
@@ -153,7 +148,6 @@ let prefer t task_id =
   match Hashtbl.find_opt t.index task_id with
   | None -> ()
   | Some slot ->
-      if Metrics.enabled () then Metrics.incr "mcc_sup_prefer_promote_total";
       retire t slot;
       push t ~front:true slot.entry
 

@@ -40,7 +40,6 @@
 
 open Mcc_sched
 module Ls = Lookup_stats
-module Metrics = Mcc_obs.Metrics
 module Evlog = Mcc_obs.Evlog
 
 type dky = Sequential | Avoidance | Pessimistic | Skeptical | Optimistic
@@ -125,7 +124,6 @@ let mark_complete t =
   Mutex.unlock t.mu;
   if not already then begin
     if Evlog.enabled () then Evlog.emit (Evlog.Complete { scope = t.sid; scope_name = t.sname });
-    if Metrics.enabled () then Metrics.incr "mcc_scope_complete_total";
     (* optimistic handling sweeps the whole table for unsignaled
        per-symbol events — the bookkeeping the paper found to outweigh
        the technique's advantages *)
@@ -207,7 +205,6 @@ let visible t (sym : Symbol.t) ~use_off =
 let probe stats t name ~use_off =
   Eff.work Costs.lookup_probe;
   Ls.record_probe stats;
-  if Metrics.enabled () then Metrics.incr "mcc_symtab_probe_total";
   Mutex.lock t.mu;
   let compl = if t.complete then Ls.Complete else Ls.Incomplete in
   let r =
@@ -285,18 +282,6 @@ let dky_wait sc name (ev : Event.t) =
   if Evlog.enabled () then
     Evlog.emit
       (Evlog.Dky_block { scope = sc.sid; scope_name = sc.sname; sym = name; ev = ev.Event.id });
-  if Metrics.enabled () then
-    Metrics.incr
-      ~labels:
-        [
-          ( "scope_kind",
-            match sc.kind with
-            | KBuiltin -> "builtin"
-            | KDef _ -> "def"
-            | KMain _ -> "main"
-            | KProc _ -> "proc" );
-        ]
-      "mcc_dky_block_total";
   Eff.wait ev;
   if Evlog.enabled () then
     Evlog.emit

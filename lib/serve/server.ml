@@ -29,7 +29,6 @@
 
 open Mcc_core
 module Evlog = Mcc_obs.Evlog
-module Metrics = Mcc_obs.Metrics
 module Trace_ctx = Mcc_obs.Trace_ctx
 module Dtrace = Mcc_obs.Dtrace
 module Slo = Mcc_obs.Slo
@@ -270,7 +269,6 @@ let serve ?(capture = false) ?(trace = false) ~cache cfg (jobs : Request.job lis
                 (Evlog.Job_admit { job = j.Request.j_id; session = j.Request.j_session })
           | Admission.Shed victim ->
               shed := victim :: !shed;
-              if Metrics.enabled () then Metrics.incr "mcc_serve_shed_total";
               emit_at j.Request.j_arrival
                 (Evlog.Job_shed
                    { job = victim.Request.j_id; session = victim.Request.j_session });
@@ -280,9 +278,7 @@ let serve ?(capture = false) ?(trace = false) ~cache cfg (jobs : Request.job lis
                 ~detail:
                   (Printf.sprintf "admission cap %d: shed by job #%d" cfg.cap j.Request.j_id));
           let depth = Queue.length q in
-          if depth > !max_depth then max_depth := depth;
-          if Metrics.enabled () then
-            Metrics.gauge_max "mcc_serve_queue_depth_max" (float_of_int depth)
+          if depth > !max_depth then max_depth := depth
       | _ -> continue_ := false
     done
   in
@@ -357,10 +353,6 @@ let serve ?(capture = false) ?(trace = false) ~cache cfg (jobs : Request.job lis
     if retried then
       Slo.trip slo ~job:j.Request.j_id ~cls:(slo_class j) ~trace:(tid_of j) ~reason:Slo.Fault
         ~at:finish ~detail:"fault plan defeated recovery; re-served clean";
-    if Metrics.enabled () then begin
-      Metrics.incr "mcc_serve_jobs_total";
-      Metrics.observe "mcc_serve_sojourn_seconds" (finish -. j.Request.j_arrival)
-    end;
     served :=
       {
         Request.s_job = j;
@@ -380,7 +372,6 @@ let serve ?(capture = false) ?(trace = false) ~cache cfg (jobs : Request.job lis
   in
   let shed_overdue (j : Request.job) =
     incr deadline_shed;
-    if Metrics.enabled () then Metrics.incr "mcc_serve_deadline_shed_total";
     emit_at !now (Evlog.Job_shed { job = j.Request.j_id; session = j.Request.j_session });
     close_spans ~at:!now ~status:"deadline" j;
     Slo.trip slo ~job:j.Request.j_id ~cls:(slo_class j) ~trace:(tid_of j)
@@ -406,8 +397,6 @@ let serve ?(capture = false) ?(trace = false) ~cache cfg (jobs : Request.job lis
           incr batches;
           batched_jobs := !batched_jobs + List.length mates;
           max_batch := max !max_batch (1 + List.length mates);
-          if Metrics.enabled () then
-            Metrics.observe "mcc_serve_batch_size" (float_of_int (1 + List.length mates));
           List.iter
             (fun (m : Request.job) ->
               emit_at !now

@@ -307,6 +307,24 @@ let test_disk_round_trip () =
       Alcotest.(check (list string)) "identical diagnostics"
         (diag_strings cold.Driver.diags) (diag_strings warm.Driver.diags))
 
+(* --- the size bound --- *)
+
+(* A capped cache charges each artifact its wire size, so its bytes and
+   evictions do not depend on how many types the process allocated
+   before: uids past 32767 marshal in more bytes than small ones. *)
+let test_capped_cache_size_stable () =
+  let fill () =
+    let c = Build_cache.create ~cap_bytes:3000 () in
+    ignore (Driver.compile ~cache:c (Mcc_synth.Suite.program 3));
+    (Build_cache.total_bytes c, Build_cache.eviction_count c)
+  in
+  let bytes, evictions = fill () in
+  Mcc_sem.Types.bump_uid_floor 40_000;
+  let bytes', evictions' = fill () in
+  Alcotest.(check bool) "the bound evicts" true (evictions > 0);
+  Alcotest.(check int) "same bytes after the uid floor moved" bytes bytes';
+  Alcotest.(check int) "same evictions after the uid floor moved" evictions evictions'
+
 (* --- the charge-free import scan agrees with the real importer --- *)
 
 let prop_scan_matches_importer =
@@ -372,5 +390,7 @@ let () =
         ] );
       ( "persistence",
         [ Alcotest.test_case "disk round trip" `Quick test_disk_round_trip ] );
+      ( "size bound",
+        [ Alcotest.test_case "uid-independent bytes" `Quick test_capped_cache_size_stable ] );
       ("scanner", [ Tutil.qtest prop_scan_matches_importer ]);
     ]

@@ -1,11 +1,12 @@
-(* Tests for the telemetry subsystem (lib/obs): the metrics registry,
-   the event-log hardening (monotonic virtual time, length/iter), the
-   compile span forest and its critical-path attribution on canned
-   logs, the profile report and its exporters (Prometheus text, JSON),
-   the validators' negative cases, the Chrome export and the WatchTool
-   renderer on canned forests, the compile forest's invariants over
-   random suite compiles, and end-to-end determinism and zero-cost
-   guarantees through the driver. *)
+(* Tests for the telemetry subsystem (lib/obs): the event-log
+   hardening (monotonic virtual time, length/iter), the compile span
+   forest and its critical-path attribution on canned logs, the
+   profile report and its exporters (Prometheus text, JSON),
+   the mcc_* series folded from a captured compile, the validators'
+   negative cases, the Chrome export and the WatchTool renderer on
+   canned forests, the compile forest's invariants over random suite
+   compiles, and end-to-end determinism and zero-cost guarantees
+   through the driver. *)
 
 open Mcc_obs
 module Sched = Mcc_sched
@@ -14,58 +15,6 @@ module Driver = Mcc_core.Driver
 module Trace_json = Mcc_analysis.Trace_json
 
 let small_store () = Mcc_synth.Suite.program 2
-
-(* --- metrics registry --- *)
-
-let test_metrics_registry () =
-  let (), snap =
-    Metrics.with_registry (fun () ->
-        Metrics.incr "a_total";
-        Metrics.incr "a_total";
-        Metrics.count ~labels:[ ("cls", "lexor") ] "b_total" 3.0;
-        Metrics.gauge_max "peak" 2.0;
-        Metrics.gauge_max "peak" 5.0;
-        Metrics.gauge_max "peak" 1.0;
-        Metrics.observe "dur" 50.0;
-        Metrics.observe "dur" 5000.0)
-  in
-  Alcotest.(check (float 1e-9)) "counter" 2.0 (Metrics.counter_value snap "a_total");
-  Alcotest.(check (float 1e-9)) "labelled counter" 3.0
-    (Metrics.counter_value snap ~labels:[ ("cls", "lexor") ] "b_total");
-  (match Metrics.find snap "peak" with
-  | Some { Metrics.s_value = Metrics.VGauge v; _ } ->
-      Alcotest.(check (float 1e-9)) "gauge_max keeps the high watermark" 5.0 v
-  | _ -> Alcotest.fail "peak gauge missing");
-  (match Metrics.find snap "dur" with
-  | Some { Metrics.s_value = Metrics.VHistogram { h_counts; h_sum; h_count; _ }; _ } ->
-      Alcotest.(check int) "histogram count" 2 h_count;
-      Alcotest.(check (float 1e-9)) "histogram sum" 5050.0 h_sum;
-      Alcotest.(check int) "total across buckets" 2 (Array.fold_left ( + ) 0 h_counts)
-  | _ -> Alcotest.fail "dur histogram missing");
-  (* snapshot is sorted by (name, labels) *)
-  let names = List.map (fun s -> s.Metrics.s_name) snap in
-  Alcotest.(check (list string)) "sorted" (List.sort compare names) names
-
-let test_metrics_disabled_noop () =
-  Alcotest.(check bool) "disabled outside with_registry" false (Metrics.enabled ());
-  Metrics.incr "ghost_total";
-  let (), snap = Metrics.with_registry (fun () -> ()) in
-  Alcotest.(check int) "nothing recorded while disabled" 0 (List.length snap)
-
-let test_metrics_deterministic () =
-  let run () =
-    Metrics.with_registry (fun () ->
-        List.iter
-          (fun (n, l) -> Metrics.incr ~labels:l n)
-          [
-            ("z_total", []);
-            ("a_total", [ ("k", "2") ]);
-            ("a_total", [ ("k", "1") ]);
-            ("z_total", []);
-          ])
-    |> snd
-  in
-  Alcotest.(check bool) "identical runs give equal snapshots" true (run () = run ())
 
 (* --- event-log hardening --- *)
 
@@ -131,9 +80,29 @@ let total forest task kind =
 let tasks_of (forest : Dtrace.t) =
   List.filter (fun (s : Dtrace.span) -> s.Dtrace.d_kind = "inner-task") forest.Dtrace.spans
 
-let canned_profile forest =
-  Profile.make ~module_name:"M" ~procs:2 ~strategy:"skeptical" ~seconds_per_unit:1.0 ~metrics:[]
-    forest
+let canned_profile () =
+  Profile.make ~module_name:"M" ~procs:2 ~strategy:"skeptical" ~seconds_per_unit:1.0
+    ~counts:
+      {
+        Profile.tokens = 0;
+        task_classes = [];
+        symtab_probes = 0;
+        cache_hits = 0;
+        cache_misses = 0;
+        cache_evictions = 0;
+        corrupt_rebuilds = 0;
+      }
+    (canned_log ())
+
+(* A counter series' value, 0 when the series is absent. *)
+let counter (p : Profile.t) ?(labels = []) name =
+  match
+    List.find_opt
+      (fun (s : Prom.sample) -> s.s_name = name && s.s_labels = labels)
+      p.Profile.p_metrics
+  with
+  | Some { Prom.s_value = Prom.VCounter v; _ } -> int_of_float v
+  | _ -> 0
 
 let test_span_canned () =
   let forest = Dtrace.assemble (canned_log ()) in
@@ -159,9 +128,20 @@ let test_span_canned () =
         (List.find_map
            (fun (s : Dtrace.span) -> if s.Dtrace.d_kind = "dky-wait" then s.Dtrace.d_cause else None)
            (kids_of forest c));
-      let busy = (canned_profile forest).Profile.p_phase_busy in
+      let p = canned_profile () in
+      let busy = p.Profile.p_phase_busy in
       Alcotest.(check (float 1e-9)) "busy by class: defparse" 5.0 (List.assoc "defparse" busy);
-      Alcotest.(check (float 1e-9)) "busy by class: shortgen" 5.0 (List.assoc "shortgen" busy)
+      Alcotest.(check (float 1e-9)) "busy by class: shortgen" 5.0 (List.assoc "shortgen" busy);
+      List.iter
+        (fun (name, labels, want) -> Alcotest.(check int) name want (counter p ~labels name))
+        [
+          ("mcc_sched_signal_total", [], 1);
+          ("mcc_sched_block_total", [ ("kind", "handled") ], 1);
+          ("mcc_sched_wake_total", [], 1);
+          ("mcc_scope_complete_total", [], 1);
+          ("mcc_sched_dispatch_total", [ ("cls", "shortgen") ], 2);
+          ("mcc_task_finish_total", [ ("cls", "defparse") ], 1);
+        ]
   | spans -> Alcotest.failf "expected 2 task spans, got %d" (List.length spans)
 
 let check_tiling (cp : Dtrace.crit) =
@@ -191,15 +171,8 @@ let test_critpath_driver_log () =
 
 (* --- the profile report and its exporters --- *)
 
-let profile_of store =
-  let c = Driver.compile ~config:Driver.default_config ~capture:true ~telemetry:true store in
-  Profile.make
-    ~module_name:(Mcc_core.Source_store.main_name store)
-    ~procs:Driver.default_config.Driver.procs
-    ~strategy:(Mcc_sem.Symtab.dky_name Driver.default_config.Driver.strategy)
-    ~seconds_per_unit:Sched.Costs.seconds_per_unit
-    ~metrics:(Option.value ~default:[] c.Driver.telemetry)
-    (Dtrace.assemble c.Driver.log)
+let profile_of ?(config = Driver.default_config) store =
+  Driver.profile ~config store (Driver.compile ~config ~capture:true store)
 
 let test_profile_render () =
   let p = profile_of (small_store ()) in
@@ -234,12 +207,72 @@ let test_profile_deterministic () =
   Alcotest.(check bool) "same attribution buckets" true
     (p1.Profile.p_crit.Dtrace.c_buckets = p2.Profile.p_crit.Dtrace.c_buckets)
 
+let gauge (p : Profile.t) name =
+  match List.find_opt (fun (s : Prom.sample) -> s.s_name = name) p.Profile.p_metrics with
+  | Some { Prom.s_value = Prom.VGauge v; _ } -> int_of_float v
+  | _ -> 0
+
+(* A crash at a resume point quarantines the task just as a crash with
+   retries exhausted does; both are counted. *)
+let test_profile_quarantine () =
+  let config =
+    {
+      Driver.default_config with
+      Driver.faults = Sched.Fault.parse_list "task-crash@2,stall@3,dropped-wake@1";
+      fault_seed = 7;
+    }
+  in
+  let store = Mcc_synth.Suite.program 0 in
+  let r = Driver.compile ~config ~capture:true store in
+  let p = Driver.profile ~config store r in
+  let quarantined = List.length r.Driver.robustness.Driver.r_quarantined in
+  Alcotest.(check int) "the plan quarantines one task" 1 quarantined;
+  Alcotest.(check int) "mcc_fault_quarantine_total" quarantined
+    (counter p "mcc_fault_quarantine_total")
+
+(* The Sieve example's series, pinned at the values the scheduler and
+   symbol-table counts have always had. *)
+let test_profile_sieve_counts () =
+  let store = Mcc_core.Source_store.of_directory ~dir:"../examples" ~main_name:"Sieve" in
+  let p = profile_of ~config:{ Driver.default_config with Driver.procs = 8 } store in
+  List.iter
+    (fun (name, labels, want) -> Alcotest.(check int) name want (counter p ~labels name))
+    [
+      ("mcc_sched_signal_total", [], 28);
+      ("mcc_sched_block_total", [ ("kind", "handled") ], 3);
+      ("mcc_sched_block_total", [ ("kind", "barrier") ], 0);
+      ("mcc_sched_wake_total", [], 3);
+      ("mcc_scope_complete_total", [], 5);
+      ("mcc_symtab_probe_total", [], 81);
+      ("mcc_tokens_total", [], 304);
+    ];
+  Alcotest.(check int) "mcc_sched_busy_procs_peak" 5 (gauge p "mcc_sched_busy_procs_peak");
+  List.iter
+    (fun (cls, n) ->
+      let labels = [ ("cls", cls) ] in
+      Alcotest.(check int) ("submit " ^ cls) n (counter p ~labels "mcc_sup_submit_total");
+      Alcotest.(check int) ("finish " ^ cls) n (counter p ~labels "mcc_task_finish_total");
+      (* the bootstrap task is the engine's, not the compile's *)
+      Alcotest.(check int) ("tasks " ^ cls) (if cls = "aux" then 0 else n)
+        (counter p ~labels "mcc_tasks_total"))
+    [
+      ("aux", 1);
+      ("defparse", 1);
+      ("importer", 2);
+      ("lexor", 2);
+      ("merge", 1);
+      ("modparse", 1);
+      ("procparse", 3);
+      ("shortgen", 4);
+      ("splitter", 1);
+    ]
+
 let test_telemetry_zero_cost () =
   let off = Driver.compile ~config:Driver.default_config (small_store ()) in
-  let on = Driver.compile ~config:Driver.default_config ~capture:true ~telemetry:true (small_store ()) in
-  Alcotest.(check bool) "telemetry off leaves no snapshot" true (off.Driver.telemetry = None);
-  Alcotest.(check int) "telemetry off leaves no log" 0 (Array.length off.Driver.log);
-  Alcotest.(check (float 1e-9)) "identical virtual end time either way"
+  let on = Driver.compile ~config:Driver.default_config ~capture:true (small_store ()) in
+  Alcotest.(check int) "capture off leaves no log" 0 (Array.length off.Driver.log);
+  Alcotest.(check bool) "capture on records the run" true (Array.length on.Driver.log > 0);
+  Alcotest.(check (float 0.0)) "capture leaves the virtual end time unchanged"
     off.Driver.sim.Sched.Des_engine.end_time on.Driver.sim.Sched.Des_engine.end_time
 
 (* --- validators: negative cases --- *)
@@ -384,12 +417,6 @@ let prop_compile_forest =
 let () =
   Alcotest.run "obs"
     [
-      ( "metrics",
-        [
-          Alcotest.test_case "registry" `Quick test_metrics_registry;
-          Alcotest.test_case "disabled is a no-op" `Quick test_metrics_disabled_noop;
-          Alcotest.test_case "deterministic snapshots" `Quick test_metrics_deterministic;
-        ] );
       ( "evlog",
         [
           Alcotest.test_case "monotonic time asserted" `Quick test_evlog_monotonic_assert;
@@ -408,6 +435,8 @@ let () =
           Alcotest.test_case "exports validate" `Quick test_profile_exports_validate;
           Alcotest.test_case "deterministic" `Quick test_profile_deterministic;
           Alcotest.test_case "zero cost when off" `Quick test_telemetry_zero_cost;
+          Alcotest.test_case "quarantines counted" `Quick test_profile_quarantine;
+          Alcotest.test_case "sieve counts" `Quick test_profile_sieve_counts;
         ] );
       ( "validators",
         [
